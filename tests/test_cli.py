@@ -264,3 +264,31 @@ def test_zeros_curves_order5_svg_sparse(tmp_path, capsys):
     svg = (out_dir / "atlas.svg").read_text()
     n_polylines = svg.count("<polyline") + svg.count("<polygon")
     assert 1 <= n_polylines <= 20  # sparse at low truncation
+
+
+# SHA-256 of the artifacts of two `zeros --jobs 1` runs, so that a refactor of
+# the atlas pipeline cannot move a curve point, an intersection, a triangle or
+# their serialization unnoticed.
+ZEROS_DIGESTS = {
+    ("--task", "triple", "--modes", "3,4", "--order", "40", "--grid", "128"): {
+        "curves.csv": "b4287926a329e70ab597472d0bde41cdf3c16e82358c773d82a6827dd47c4dfc",
+        "atlas.json": "5a9ee6894471d361251d3ea195eba5f78a0862214ac2147a224e0aeff5d3ea55",
+    },
+    ("--task", "double", "--order", "14", "--mmax", "4", "--grid", "64"): {
+        "curves.csv": "d118e82ba1054e2a370554886085cafaaeb7ee559c3a9d07ca02eaf500470a75",
+        "atlas.json": "f1ecb1760b10a6dbc8324f3b07c944050ccd8480f5d9dc06f81d58918511abde",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ZEROS_DIGESTS), ids=lambda argv: argv[1])
+def test_zeros_artifact_digests(tmp_path, capsys, argv):
+    import hashlib
+
+    code, _, _ = run(capsys, "zeros", *argv, "--jobs", "1", "--out", str(tmp_path))
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ZEROS_DIGESTS[argv]
+    }
+    assert digests == ZEROS_DIGESTS[argv]
