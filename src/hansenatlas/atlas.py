@@ -15,11 +15,17 @@ near-triple triangles with area/incenter/inradius (TriangleReport).  A triple
 zero is certified only when a Gauss-Newton solve of the full 3-system reaches
 residuals <= RESIDUAL_TOL on all three coefficients.
 
+`trace_surface` is the one tracer.  `find_double` (j = 1, 2) and
+`find_triple` (j = 1, 2, 3) trace f_{jm,jk} once each and return a
+`CommonZeros` that carries those curves with the pairwise intersections,
+triangles and certificates; `scan_modes` builds its entries from it.
+
 Everything is deterministic: grids, seed ordering, Newton damping and the
 report ordering are all fixed functions of the input.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -62,27 +68,17 @@ class PolyEval:
         self.C = C
         self._rows = None
 
-    def on_grid(self, avec: np.ndarray, evec: np.ndarray) -> np.ndarray:
-        """Values V[i,j] = p(avec[i], evec[j])."""
-        R = np.zeros((len(avec), self.trunc_e + 1))
-        for n in range(self.trunc_a, -1, -1):
-            R *= avec[:, None]
-            R += self.C[n][None, :]
-        V = np.zeros((len(avec), len(evec)))
-        for q in range(self.trunc_e, -1, -1):
-            V *= evec[None, :]
-            V += R[:, q][:, None]
-        return V
-
     def at(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Values at paired points (a[i], e[i])."""
+        """Values p(a, e) with `a` and `e` broadcast against each other: paired
+        points for equal shapes, the grid V[i,j] = p(ax[i], ex[j]) for
+        `at(ax[:, None], ex[None, :])`."""
         a = np.asarray(a, dtype=float)
         e = np.asarray(e, dtype=float)
         R = np.zeros(a.shape + (self.trunc_e + 1,))
         for n in range(self.trunc_a, -1, -1):
             R *= a[..., None]
-            R += self.C[n][None, :] if a.ndim == 1 else self.C[n]
-        v = np.zeros_like(a)
+            R += self.C[n]
+        v = np.zeros(np.broadcast_shapes(a.shape, e.shape))
         for q in range(self.trunc_e, -1, -1):
             v *= e
             v += R[..., q]
@@ -154,18 +150,10 @@ class ModeSurface:
     def visible(self) -> bool:
         return not self.series.is_zero()
 
-    def norm(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return self.norm_scale * np.power(a, self.a_power) * np.power(e, self.e_power)
-
-    def normalized_grid(self, avec: np.ndarray, evec: np.ndarray) -> np.ndarray:
-        raw = self.poly.on_grid(avec, evec)
-        denom = self.norm_scale * np.power(avec, self.a_power)[:, None] * np.power(
-            evec, self.e_power
-        )[None, :]
-        return raw / denom
-
     def normalized_at(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return self.poly.at(a, e) / self.norm(a, e)
+        """fhat(a, e), broadcast like `PolyEval.at`."""
+        norm = self.norm_scale * np.power(a, self.a_power) * np.power(e, self.e_power)
+        return self.poly.at(a, e) / norm
 
     def normalized_value_and_jac(
         self, a: float, e: float
@@ -180,10 +168,6 @@ class ModeSurface:
             (fa - self.a_power * f / a) / nm,
             (fe - self.e_power * f / e) / nm,
         )
-
-    def residual_exact(self, a: float, e: float) -> float:
-        """|f(a,e)| evaluated in exact rational arithmetic at the dyadic point."""
-        return abs(float(self.series.eval_exact(rational(a), rational(e))))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +231,8 @@ def eval_grid(mode: Mode, order: Tuple[int, int], grid_n: int = DEFAULT_GRID) ->
     """Normalized coefficient values on the uniform grid (rows: a, columns: e)."""
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
-    surf = ModeSurface(mode, order)
     ax = grid_axis(grid_n)
-    return surf.normalized_grid(ax, ax)
+    return ModeSurface(mode, order).normalized_at(ax[:, None], ax[None, :])
 
 
 def _bisect_edges(
@@ -288,32 +271,22 @@ _CORNER_EDGES = {
 }
 
 
-def trace_curves(
-    mode: Mode,
-    order: Tuple[int, int],
-    grid_n: int = DEFAULT_GRID,
-    eps: float = EPS_CURVE,
-) -> List[ZeroCurve]:
+def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> List[ZeroCurve]:
     """Marching-squares zero curves of the normalized coefficient.
 
     Each cell-edge sign change is refined by bisection to |fhat| <= eps, cell
     segments are derived from the corner sign pattern (saddles resolved by the
-    cell-center value) and chained into open or closed polylines.
+    cell-center value) and chained into open or closed polylines.  `surf` is a
+    ModeSurface or anything with mode/order attributes, visible() and a
+    broadcasting normalized_at(a, e).
     """
-    return trace_surface(ModeSurface(mode, order), grid_n, eps)
-
-
-def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> List[ZeroCurve]:
-    """Tracer core; `surf` needs mode/order attributes, visible(),
-    normalized_grid(avec, evec) and normalized_at(a, e)."""
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
     mode, order = surf.mode, surf.order
     if not surf.visible():
         return []
     ax = grid_axis(grid_n)
-    V = surf.normalized_grid(ax, ax)
-    S = V > 0.0
+    S = surf.normalized_at(ax[:, None], ax[None, :]) > 0.0
 
     # edge ids: ("a", i, j) crosses between nodes (i,j)-(i+1,j);
     #           ("e", i, j) between (i,j)-(i,j+1)
@@ -447,10 +420,6 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
 # ---------------------------------------------------------------------------
 # Intersections
 # ---------------------------------------------------------------------------
-
-
-def _trace_surface(surf: ModeSurface, grid_n: int, eps: float) -> List[ZeroCurve]:
-    return trace_surface(surf, grid_n, eps)
 
 
 def _proximity_seeds(
@@ -602,13 +571,15 @@ def _dedupe_points(
 
 
 def _refine_pair(
-    surf_a: ModeSurface,
-    surf_b: ModeSurface,
-    curves_a: Sequence[ZeroCurve],
-    curves_b: Sequence[ZeroCurve],
+    surfs: Dict[int, ModeSurface],
+    curves: Dict[int, Tuple[ZeroCurve, ...]],
+    multiples: Tuple[int, int],
     grid_n: int,
-    multiples: Tuple[int, ...],
-) -> List[IntersectionReport]:
+) -> Tuple[IntersectionReport, ...]:
+    """Newton-refined common zeros of the pair of surfaces `multiples`, seeded
+    where their curves come within two grid steps."""
+    surf_a, surf_b = (surfs[j] for j in multiples)
+    curves_a, curves_b = (curves[j] for j in multiples)
     radius = 2.0 / grid_n
     seeds = _proximity_seeds(curves_a, curves_b, radius)
     refined = []
@@ -635,22 +606,54 @@ def _refine_pair(
             )
         else:
             log.info("mode %s: refined point strayed from parent polylines", surf_a.mode)
-    return reports
+    return tuple(reports)
+
+
+CurvesByMultiple = Tuple[Tuple[int, Tuple[ZeroCurve, ...]], ...]
+PairReports = Tuple[Tuple[Tuple[int, int], Tuple[IntersectionReport, ...]], ...]
+
+
+@dataclass(frozen=True)
+class CommonZeros:
+    """Zero curves of f_{jm,jk}, their pairwise intersections, near-triple
+    triangles and any certified triple zero (the last two only for j = 1, 2, 3)."""
+
+    mode: Mode
+    order: Tuple[int, int]
+    curves: CurvesByMultiple
+    pair_reports: PairReports
+    triangles: Tuple[TriangleReport, ...]
+    certificates: Tuple[TripleZeroCertificate, ...]
+
+    def pair(self, j1: int, j2: int) -> Tuple[IntersectionReport, ...]:
+        for key, reports in self.pair_reports:
+            if key == (j1, j2):
+                return reports
+        return ()
+
+
+def _trace_and_refine(
+    mode: Mode, order: Tuple[int, int], grid_n: int, multiples: Tuple[int, ...]
+) -> Tuple[Dict[int, ModeSurface], CurvesByMultiple, PairReports]:
+    """Surfaces of f_{jm,jk} for j in `multiples`, each traced once, with the
+    curves and the refined intersections of every pair."""
+    if not mode.in_g2:
+        raise ValueError(f"intersections need a coprime-set mode, got {mode}")
+    surfs = {j: ModeSurface(mode.multiple(j), order) for j in multiples}
+    curves = {j: tuple(trace_surface(s, grid_n)) for j, s in surfs.items()}
+    pair_reports = tuple(
+        (pair, _refine_pair(surfs, curves, pair, grid_n))
+        for pair in itertools.combinations(multiples, 2)
+    )
+    return surfs, tuple(curves.items()), pair_reports
 
 
 def find_double(
     mode: Mode, order: Tuple[int, int], grid_n: int = DEFAULT_GRID
-) -> List[IntersectionReport]:
-    """Common zeros of f_{m,k} and f_{2m,2k} for a coprime-set mode."""
-    if not mode.in_g2:
-        raise ValueError(f"find_double needs a coprime-set mode, got {mode}")
-    surf1 = ModeSurface(mode, order)
-    surf2 = ModeSurface(mode.multiple(2), order)
-    if not (surf1.visible() and surf2.visible()):
-        return []
-    curves1 = _trace_surface(surf1, grid_n, EPS_CURVE)
-    curves2 = _trace_surface(surf2, grid_n, EPS_CURVE)
-    return _refine_pair(surf1, surf2, curves1, curves2, grid_n, (1, 2))
+) -> CommonZeros:
+    """Curves and common zeros of f_{m,k} and f_{2m,2k} for a coprime-set mode."""
+    _, curves, pair_reports = _trace_and_refine(mode, order, grid_n, (1, 2))
+    return CommonZeros(mode, order, curves, pair_reports, (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -677,42 +680,12 @@ def triangle_metrics(
     return area, incenter, area / (perimeter / 2.0)
 
 
-@dataclass(frozen=True)
-class TripleResult:
-    """Pairwise intersections, near-triple triangles and any certified triple zero."""
-
-    mode: Mode
-    order: Tuple[int, int]
-    pair_reports: Tuple[Tuple[Tuple[int, int], Tuple[IntersectionReport, ...]], ...]
-    triangles: Tuple[TriangleReport, ...]
-    certificates: Tuple[TripleZeroCertificate, ...]
-
-    def pair(self, j1: int, j2: int) -> Tuple[IntersectionReport, ...]:
-        for key, reports in self.pair_reports:
-            if key == (j1, j2):
-                return reports
-        return ()
-
-
 def find_triple(
     mode: Mode, order: Tuple[int, int], grid_n: int = DEFAULT_GRID
-) -> TripleResult:
-    """Pairwise zeros of f_{jm,jk} (j = 1,2,3), their proximity triangles, and
-    triple-zero certification attempts."""
-    if not mode.in_g2:
-        raise ValueError(f"find_triple needs a coprime-set mode, got {mode}")
-    surfs = {j: ModeSurface(mode.multiple(j), order) for j in (1, 2, 3)}
-    curves = {
-        j: (_trace_surface(s, grid_n, EPS_CURVE) if s.visible() else [])
-        for j, s in surfs.items()
-    }
-    pair_reports = []
-    for (j1, j2) in ((1, 2), (1, 3), (2, 3)):
-        reports = _refine_pair(
-            surfs[j1], surfs[j2], curves[j1], curves[j2], grid_n, (j1, j2)
-        )
-        pair_reports.append(((j1, j2), tuple(reports)))
-
+) -> CommonZeros:
+    """Curves and pairwise zeros of f_{jm,jk} (j = 1,2,3), their proximity
+    triangles, and triple-zero certification attempts."""
+    surfs, curves, pair_reports = _trace_and_refine(mode, order, grid_n, (1, 2, 3))
     p12, p13, p23 = (r for _, r in pair_reports)
     triangles: List[TriangleReport] = []
     if p12 and p13 and p23:
@@ -755,8 +728,8 @@ def find_triple(
             certificates.append(
                 TripleZeroCertificate(mode, order, point, residuals)  # type: ignore[arg-type]
             )
-    return TripleResult(
-        mode, order, tuple(pair_reports), tuple(triangles), tuple(certificates)
+    return CommonZeros(
+        mode, order, curves, pair_reports, tuple(triangles), tuple(certificates)
     )
 
 
@@ -774,7 +747,7 @@ class ModeScanEntry:
     mode: Mode
     skipped: bool
     reason: str
-    curves: Tuple[Tuple[int, Tuple[ZeroCurve, ...]], ...]
+    curves: CurvesByMultiple
     intersections: Tuple[IntersectionReport, ...]
     triangles: Tuple[TriangleReport, ...]
     certificates: Tuple[TripleZeroCertificate, ...]
@@ -814,40 +787,16 @@ class AtlasReport:
 
 def _scan_one(args: Tuple[Mode, str, Tuple[int, int], int]) -> ModeScanEntry:
     mode, task, order, grid_n = args
-    trunc_a, trunc_e = order
-    if task == "curves":
-        needed_a, needed_e = mode.m_star, abs(mode.m - mode.k)
-    elif task == "double":
-        needed_a, needed_e = 2 * mode.m_star, 2 * abs(mode.m - mode.k)
-    else:
-        needed_a, needed_e = 3 * mode.m_star, 3 * abs(mode.m - mode.k)
-    if trunc_a < needed_a or trunc_e < needed_e:
+    j_max = {"curves": 1, "double": 2, "triple": 3}[task]
+    if order[0] < j_max * mode.m_star or order[1] < j_max * abs(mode.m - mode.k):
         return ModeScanEntry(mode, True, "below visibility order", (), (), (), ())
     if task == "curves":
-        curves = trace_curves(mode, order, grid_n)
+        curves = trace_surface(ModeSurface(mode, order), grid_n)
         return ModeScanEntry(mode, False, "", ((1, tuple(curves)),), (), (), ())
-    if task == "double":
-        surf1 = ModeSurface(mode, order)
-        surf2 = ModeSurface(mode.multiple(2), order)
-        c1 = _trace_surface(surf1, grid_n, EPS_CURVE) if surf1.visible() else []
-        c2 = _trace_surface(surf2, grid_n, EPS_CURVE) if surf2.visible() else []
-        reports = _refine_pair(surf1, surf2, c1, c2, grid_n, (1, 2))
-        return ModeScanEntry(
-            mode,
-            False,
-            "",
-            ((1, tuple(c1)), (2, tuple(c2))),
-            tuple(reports),
-            (),
-            (),
-        )
-    result = find_triple(mode, order, grid_n)
-    curves = tuple(
-        (j, tuple(trace_curves(mode.multiple(j), order, grid_n))) for j in (1, 2, 3)
-    )
+    result = (find_double if task == "double" else find_triple)(mode, order, grid_n)
     intersections = tuple(r for _, reports in result.pair_reports for r in reports)
     return ModeScanEntry(
-        mode, False, "", curves, intersections, result.triangles, result.certificates
+        mode, False, "", result.curves, intersections, result.triangles, result.certificates
     )
 
 

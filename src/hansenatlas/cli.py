@@ -40,7 +40,6 @@ from .hansen import (
     HansenKey,
     clear_caches,
     hansen,
-    hansen_k0_recursive,
     hansen_table,
 )
 from .oracle import DomainError, oracle_fourier
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="true-anomaly multiple (int or lo..hi)")
     p.add_argument("--k", type=int, required=True, help="mean-anomaly multiple")
     p.add_argument("--order", type=int, required=True, help="truncation order in e")
-    p.add_argument("--method", default="auto", choices=METHODS + ("k0rec",))
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--table", action="store_true", help="emit rows-n by columns-m table")
     p.add_argument("--format", default="text", choices=("text", "csv"))
     p.add_argument("--config")
@@ -203,8 +202,7 @@ def _cmd_hansen(args: argparse.Namespace) -> int:
     n_values = _parse_range(args.n)
     m_values = _parse_range(args.m)
     if args.table:
-        method = args.method if args.method != "k0rec" else "k0"
-        text = hansen_table(n_values, m_values, args.k, args.order, method, args.format)
+        text = hansen_table(n_values, m_values, args.k, args.order, args.method, args.format)
         print(text, end="")
         out = _Outputs(args.out, "hansen", {"n": args.n, "m": args.m, "k": args.k, "order": args.order})
         out.write(f"hansen_table_k{args.k}.{args.format if args.format=='csv' else 'txt'}", text)
@@ -213,15 +211,7 @@ def _cmd_hansen(args: argparse.Namespace) -> int:
     if len(n_values) != 1 or len(m_values) != 1:
         print("ranges require --table", file=sys.stderr)
         return EXIT_USAGE
-    n, m = n_values[0], m_values[0]
-    if args.method == "k0rec":
-        if args.k != 0:
-            print("method 'k0rec' needs k = 0", file=sys.stderr)
-            return EXIT_USAGE
-        series = hansen_k0_recursive(n, m, args.order)
-    else:
-        series = hansen(HansenKey(n, m, args.k), args.order, args.method)
-    print(series.pretty())
+    print(hansen(HansenKey(n_values[0], m_values[0], args.k), args.order, args.method).pretty())
     return 0
 
 
@@ -336,7 +326,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not methods:
         print("empty method list", file=sys.stderr)
         return EXIT_USAGE
-    valid = set(METHODS + ("k0rec",)) - {"auto"}
+    valid = set(METHODS) - {"auto"}
     for m in methods:
         if m not in valid:
             print(f"unknown method {m!r}", file=sys.stderr)
@@ -353,13 +343,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("empty key set", file=sys.stderr)
         return EXIT_USAGE
 
-    def run(method: str, n: int, m: int, k: int):
-        if method == "k0rec":
-            return hansen_k0_recursive(n, abs(m), args.order)
-        return hansen(HansenKey(n, m, k), args.order, method)
-
     for n, m, k in keys:
-        results = {meth: run(meth, n, m, k) for meth in methods}
+        results = {meth: hansen(HansenKey(n, m, k), args.order, meth) for meth in methods}
         baseline = results[methods[0]]
         for meth, series in results.items():
             if series != baseline:
@@ -375,7 +360,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         clear_caches()  # timing passes start cold; per-pass memo sharing is the method's own
         start = time.perf_counter()
         for n, m, k in keys:
-            run(meth, n, m, k)
+            hansen(HansenKey(n, m, k), args.order, meth)
         elapsed = time.perf_counter() - start
         print(f"{meth:>8}: {elapsed:.3f} s ({1000.0 * elapsed / len(keys):.2f} ms/key)")
     return 0

@@ -34,7 +34,7 @@ from .series import SeriesE, bessel_j_series, beta_series, sqrt_one_minus_e2
 
 log = logging.getLogger("hansenatlas.hansen")
 
-METHODS = ("auto", "k0", "newcomb", "wnuk", "balmino")
+METHODS = ("auto", "k0", "k0rec", "newcomb", "wnuk", "balmino")
 
 
 @dataclass(frozen=True, order=True)
@@ -494,8 +494,9 @@ def _compute_auto(key: HansenKey, trunc: int) -> SeriesE:
 def hansen(key: HansenKey, trunc: int, method: str = "auto") -> SeriesE:
     """Dispatch on method; canonicalizes the key and caches `auto` results.
 
-    `auto` uses the closed form for k = 0 and Wnuk's route otherwise.  Explicit
-    methods always compute fresh so that cross-method checks stay independent.
+    `auto` uses the closed form for k = 0 and Wnuk's route otherwise; `k0rec`
+    is the k = 0 recursion.  Explicit methods always compute fresh so that
+    cross-method checks stay independent.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -510,9 +511,11 @@ def hansen(key: HansenKey, trunc: int, method: str = "auto") -> SeriesE:
             if entry is None or entry[0] < trunc:
                 _HANSEN_CACHE[ck] = (trunc, series)
         return series
-    if method == "k0":
+    if method in ("k0", "k0rec"):
         if ck.k != 0:
-            raise ValueError(f"method 'k0' needs k = 0, got key {key}")
+            raise ValueError(f"method {method!r} needs k = 0, got key {key}")
+        if method == "k0rec":
+            return hansen_k0_recursive(ck.n, ck.m, trunc)
         if ck.n >= 0:
             return hansen_k0_closed(ck.n, ck.m, trunc)
         return hansen_k0_negative(-ck.n - 1, abs(ck.m), trunc)
@@ -550,7 +553,7 @@ def hansen_table(
     header = ["n"] + [f"X^(n,{m})_{k}" for m in m_values]
     rows = [
         [str(n)]
-        + [hansen(HansenKey(n, m, k), trunc).pretty() for m in m_values]
+        + [hansen(HansenKey(n, m, k), trunc, method).pretty() for m in m_values]
         for n in n_values
     ]
     if fmt == "csv":

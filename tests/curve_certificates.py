@@ -22,8 +22,9 @@ UNIT_ROUNDOFF = 2.0**-53
 def grid_sign_margin(series: SeriesAE, grid_n: int) -> Tuple[int, float]:
     """(unsettled, worst) for the node signs the tracer reads off `series`.
 
-    The tracer takes the sign at each node from `PolyEval.on_grid`: Horner in
-    a (degree N_a), then in e (degree N_e), on coefficients rounded to double.
+    The tracer takes the sign at each node from `PolyEval.at` broadcast over
+    the grid: Horner in a (degree N_a), then in e (degree N_e), on
+    coefficients rounded to double.
     Its error is at most gamma_K * sum |c| a^n e^q with K = 2(N_a+N_e)+1; the
     bound used here takes k = K+4, which also covers evaluating the |c| series
     in floating point.  A node whose |value| does not exceed the bound counts
@@ -35,8 +36,8 @@ def grid_sign_margin(series: SeriesAE, grid_n: int) -> Tuple[int, float]:
         {key: abs(v) for key, v in series.c.items()}, series.trunc_a, series.trunc_e
     )
     ax = grid_axis(grid_n)
-    value = np.abs(PolyEval(series).on_grid(ax, ax))
-    bound = gamma * PolyEval(magnitude).on_grid(ax, ax)
+    value = np.abs(PolyEval(series).at(ax[:, None], ax[None, :]))
+    bound = gamma * PolyEval(magnitude).at(ax[:, None], ax[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         worst = float(np.max(bound / value))
     return int(np.count_nonzero(value <= bound)), worst

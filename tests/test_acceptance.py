@@ -23,7 +23,7 @@ import os
 import numpy as np
 import pytest
 
-from hansenatlas.atlas import find_double, find_triple, trace_curves
+from hansenatlas.atlas import ModeSurface, find_double, find_triple, trace_surface
 from hansenatlas.exact import rational
 from hansenatlas.fourier import (
     Mode,
@@ -197,7 +197,7 @@ def _certified_curve_counts(mode):
     def counts_on(grid_n):
         counts = {}
         for order in SCAN_ORDERS:
-            counts[order] = len(trace_curves(mode, (order, order), grid_n))
+            counts[order] = len(trace_surface(ModeSurface(mode, (order, order)), grid_n))
             unsettled, worst = grid_sign_margin(
                 fourier_coefficient(mode, order, order), grid_n
             )
@@ -228,7 +228,7 @@ def _family_scan(mode_tuple):
         double_orders.add(50)
     for order in sorted(double_orders):
         if 2 * mode.m_star <= order and 2 * abs(mode.m - mode.k) <= order:
-            reports = find_double(mode, (order, order), GRID)
+            reports = find_double(mode, (order, order), GRID).pair(1, 2)
             out["double"][order] = [
                 (r.point, r.residuals, r.newton_iterations) for r in reports
             ]
@@ -405,7 +405,7 @@ def test_criterion5_trend_curve_count(atlas60):
 def test_criterion5_curve_growth_from_low_orders(atlas60):
     # the appear-and-grow regime: far more curves at order 60 than at order 5
     count5 = sum(
-        len(trace_curves(Mode(*mt), (5, 5), GRID)) for mt in atlas60
+        len(trace_surface(ModeSurface(Mode(*mt), (5, 5)), GRID)) for mt in atlas60
     )
     count60 = sum(fam["curves"][60] for fam in atlas60.values())
     ok = _line(

@@ -10,12 +10,13 @@ import pytest
 
 from hansenatlas.atlas import (
     AtlasReport,
+    ModeSurface,
     eval_grid,
     find_double,
     find_triple,
     grid_axis,
     scan_modes,
-    trace_curves,
+    trace_surface,
     triangle_metrics,
 )
 from hansenatlas.fourier import Mode, fourier_coefficient
@@ -39,13 +40,11 @@ def test_eval_grid_rejects_tiny_grid():
 
 
 def test_grid_signs_deterministic_across_paths():
-    # the same point gives the same sign through the grid and the paired-point
-    # evaluators, and repeated grid evaluation is bitwise identical
-    from hansenatlas.atlas import ModeSurface
-
+    # the same point gives the same sign through grid and paired-point
+    # broadcasting, and repeated grid evaluation is bitwise identical
     surf = ModeSurface(Mode(2, 5), (20, 20))
     ax = grid_axis(16)
-    V = surf.normalized_grid(ax, ax)
+    V = surf.normalized_at(ax[:, None], ax[None, :])
     A, E = np.meshgrid(ax, ax, indexing="ij")
     W = surf.normalized_at(A.ravel(), E.ravel()).reshape(16, 16)
     assert np.array_equal(np.sign(V), np.sign(W))
@@ -61,15 +60,15 @@ def test_eval_grid_sign_change_present_for_2_5_at_60():
 
 
 def test_trace_single_monomial_empty():
-    assert trace_curves(Mode(1, 1), (3, 0), 64) == []
+    assert trace_surface(ModeSurface(Mode(1, 1), (3, 0)), 64) == []
 
 
 def test_trace_below_visibility_empty():
-    assert trace_curves(Mode(1, 1), (2, 8), 64) == []
+    assert trace_surface(ModeSurface(Mode(1, 1), (2, 8)), 64) == []
 
 
 def test_trace_2_5_nonempty_at_60():
-    curves = trace_curves(Mode(2, 5), (60, 60), 128)
+    curves = trace_surface(ModeSurface(Mode(2, 5), (60, 60)), 128)
     assert curves
     ax_lo, ax_hi = 1.0 / 128, 1.0 - 1.0 / 128
     for c in curves:
@@ -79,10 +78,10 @@ def test_trace_2_5_nonempty_at_60():
 
 
 def test_trace_points_satisfy_residual_bound():
-    from hansenatlas.atlas import EPS_CURVE, ModeSurface
+    from hansenatlas.atlas import EPS_CURVE
 
     surf = ModeSurface(Mode(2, 5), (30, 30))
-    curves = trace_curves(Mode(2, 5), (30, 30), 128)
+    curves = trace_surface(surf, 128)
     assert curves
     for c in curves:
         pts = np.array(c.points)
@@ -91,8 +90,8 @@ def test_trace_points_satisfy_residual_bound():
 
 
 def test_trace_deterministic():
-    a = trace_curves(Mode(2, 5), (30, 30), 128)
-    b = trace_curves(Mode(2, 5), (30, 30), 128)
+    a = trace_surface(ModeSurface(Mode(2, 5), (30, 30)), 128)
+    b = trace_surface(ModeSurface(Mode(2, 5), (30, 30)), 128)
     assert a == b
 
 
@@ -104,7 +103,7 @@ def test_trace_1_m7_curve_vanishes_between_orders_20_and_30():
     counts = {}
     for order in (20, 30):
         with dropped_crossings() as dropped:
-            counts[order] = len(trace_curves(Mode(1, -7), (order, order), 128))
+            counts[order] = len(trace_surface(ModeSurface(Mode(1, -7), (order, order)), 128))
         unsettled, _ = grid_sign_margin(fourier_coefficient(Mode(1, -7), order, order), 128)
         assert unsettled == 0
         assert dropped.total == 0
@@ -114,7 +113,7 @@ def test_trace_1_m7_curve_vanishes_between_orders_20_and_30():
 def test_marching_squares_on_synthetic_circle():
     # tracer core on a known implicit curve:
     # (4(a-1/2))^2 + (4(e-1/2))^2 - 1 = 16a^2 - 16a + 16e^2 - 16e + 7
-    from hansenatlas.atlas import PolyEval, trace_surface
+    from hansenatlas.atlas import PolyEval
     from hansenatlas.series import SeriesAE
 
     circle = SeriesAE(
@@ -129,9 +128,6 @@ def test_marching_squares_on_synthetic_circle():
 
         def visible(self):
             return True
-
-        def normalized_grid(self, av, ev):
-            return self.poly.on_grid(av, ev)
 
         def normalized_at(self, a, e):
             return self.poly.at(a, e)
@@ -159,7 +155,7 @@ def test_triangle_metrics_degenerate_and_regular():
 
 
 def test_find_double_2_5_at_30():
-    reports = find_double(Mode(2, 5), (30, 30), 128)
+    reports = find_double(Mode(2, 5), (30, 30), 128).pair(1, 2)
     assert len(reports) == 1
     (rep,) = reports
     assert rep.point[0] == pytest.approx(0.61991, abs=2e-4)
@@ -169,8 +165,8 @@ def test_find_double_2_5_at_30():
 
 
 def test_find_double_refinement_stable_under_grid_halving():
-    a = find_double(Mode(2, 5), (30, 30), 256)
-    b = find_double(Mode(2, 5), (30, 30), 512)
+    a = find_double(Mode(2, 5), (30, 30), 256).pair(1, 2)
+    b = find_double(Mode(2, 5), (30, 30), 512).pair(1, 2)
     assert len(a) == len(b) == 1
     assert math.hypot(
         a[0].point[0] - b[0].point[0], a[0].point[1] - b[0].point[1]
@@ -178,7 +174,7 @@ def test_find_double_refinement_stable_under_grid_halving():
 
 
 def test_find_double_below_visibility_empty():
-    assert find_double(Mode(2, 5), (6, 6), 64) == []
+    assert find_double(Mode(2, 5), (6, 6), 64).pair(1, 2) == ()
 
 
 def test_find_double_requires_coprime_mode():
@@ -271,7 +267,7 @@ def test_intersection_residuals_are_exact_evaluations():
     from hansenatlas.exact import rational
     from hansenatlas.fourier import fourier_coefficient
 
-    (rep,) = find_double(Mode(2, 5), (30, 30), 128)
+    (rep,) = find_double(Mode(2, 5), (30, 30), 128).pair(1, 2)
     for j, residual in zip((1, 2), rep.residuals):
         series = fourier_coefficient(Mode(2 * j, 5 * j), 30, 30)
         exact = abs(float(series.eval_exact(rational(rep.point[0]), rational(rep.point[1]))))

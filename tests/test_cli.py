@@ -45,6 +45,71 @@ def test_hansen_method_mismatch_usage_error(capsys):
     assert code == 2
 
 
+def test_hansen_table_method_mismatch_usage_error(capsys):
+    code, _, err = run(
+        capsys, "hansen", "--table", "--method", "k0", "--k", "3", "--n", "0..1", "--m", "0..1",
+        "--order", "6",
+    )
+    assert code == 2
+    assert "needs k = 0" in err
+
+
+def test_hansen_table_runs_the_requested_method(capsys, monkeypatch):
+    import importlib
+
+    hansen_module = importlib.import_module("hansenatlas.hansen")
+    real = hansen_module.hansen_newcomb
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hansen_module, "hansen_newcomb", counted)
+    code, out, _ = run(
+        capsys, "hansen", "--table", "--method", "newcomb", "--k", "1", "--n", "0..3",
+        "--m", "0..2", "--order", "7",
+    )
+    assert code == 0
+    assert len(calls) == 12  # one per (n, m) cell
+    assert "1 - e^2 + 7/64 e^4 - 5/288 e^6" in out.splitlines()[1]
+
+
+def test_hansen_k0rec_table_runs_the_recursion(capsys, monkeypatch):
+    import importlib
+
+    hansen_module = importlib.import_module("hansenatlas.hansen")
+    real = hansen_module.hansen_k0_recursive
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hansen_module, "hansen_k0_recursive", counted)
+    code, table, _ = run(
+        capsys, "hansen", "--table", "--method", "k0rec", "--k", "0", "--n", "0..3",
+        "--m", "0..2", "--order", "7", "--format", "csv",
+    )
+    assert code == 0
+    assert len(calls) == 12
+    rows = [line.split(",") for line in table.splitlines()[1:]]
+    for n, row in enumerate(rows):
+        for m, cell in enumerate(row[1:]):
+            code, single, _ = run(
+                capsys, "hansen", "--method", "k0", "--n", str(n), "--m", str(m), "--k", "0",
+                "--order", "7",
+            )
+            assert code == 0
+            assert cell == single.strip()
+    code, _, err = run(
+        capsys, "hansen", "--table", "--method", "k0rec", "--k", "2", "--n", "0..1", "--m", "0..1",
+        "--order", "6",
+    )
+    assert code == 2
+    assert "needs k = 0" in err
+
+
 # -- fourier -----------------------------------------------------------------
 
 
