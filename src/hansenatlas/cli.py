@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .atlas import DEFAULT_GRID, scan_modes
+from .atlas import DEFAULT_GRID, PolyEval, scan_modes
 from .exact import rational_str
 from .fourier import (
     Mode,
@@ -204,7 +204,9 @@ def _cmd_hansen(args: argparse.Namespace) -> int:
     if args.table:
         text = hansen_table(n_values, m_values, args.k, args.order, args.method, args.format)
         print(text, end="")
-        out = _Outputs(args.out, "hansen", {"n": args.n, "m": args.m, "k": args.k, "order": args.order})
+        manifest_args = {"n": args.n, "m": args.m, "k": args.k, "order": args.order,
+                         "method": args.method, "format": args.format}
+        out = _Outputs(args.out, "hansen", manifest_args)
         out.write(f"hansen_table_k{args.k}.{args.format if args.format=='csv' else 'txt'}", text)
         out.finish()
         return 0
@@ -229,7 +231,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
     if mode.m_star > args.order:
         print(f"# warning: mode {mode} invisible at a-order {args.order} (needs {mode.m_star})")
     if args.eval is not None:
-        value = series.eval_float(args.eval[0], args.eval[1])
+        value = PolyEval(series).at_point(args.eval[0], args.eval[1])
         print(repr(value))
     else:
         print(coefficient_csv(series), end="")
@@ -343,10 +345,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("empty key set", file=sys.stderr)
         return EXIT_USAGE
 
-    for n, m, k in keys:
-        results = {meth: hansen(HansenKey(n, m, k), args.order, meth) for meth in methods}
-        baseline = results[methods[0]]
-        for meth, series in results.items():
+    # One timed pass per method computes each key once; the check compares those results.
+    results: Dict[str, list] = {}
+    elapsed: Dict[str, float] = {}
+    for meth in methods:
+        clear_caches()  # passes start cold; per-pass memo sharing is the method's own
+        start = time.perf_counter()
+        results[meth] = [hansen(HansenKey(*key), args.order, meth) for key in keys]
+        elapsed[meth] = time.perf_counter() - start
+    for i, (n, m, k) in enumerate(keys):
+        baseline = results[methods[0]][i]
+        for meth in methods[1:]:
+            series = results[meth][i]
             if series != baseline:
                 print(
                     f"method disagreement at (n={n}, m={m}, k={k}):\n"
@@ -357,12 +367,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 return EXIT_DISAGREEMENT
     print(f"equality verified on {len(keys)} keys at order {args.order}")
     for meth in methods:
-        clear_caches()  # timing passes start cold; per-pass memo sharing is the method's own
-        start = time.perf_counter()
-        for n, m, k in keys:
-            hansen(HansenKey(n, m, k), args.order, meth)
-        elapsed = time.perf_counter() - start
-        print(f"{meth:>8}: {elapsed:.3f} s ({1000.0 * elapsed / len(keys):.2f} ms/key)")
+        t = elapsed[meth]
+        print(f"{meth:>8}: {t:.3f} s ({1000.0 * t / len(keys):.2f} ms/key)")
     return 0
 
 
@@ -372,7 +378,7 @@ def _cmd_spotcheck(args: argparse.Namespace) -> int:
         print("m must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     series = fourier_coefficient(Mode(args.m, args.k), args.order, order_e)
-    series_value = series.eval_float(args.a, args.e)
+    series_value = PolyEval(series).at_point(args.a, args.e)
     oracle_value = oracle_fourier(args.m, args.k, args.a, args.e, args.samples)
     print(f"series value : {series_value!r}")
     print(f"oracle value : {oracle_value!r}")

@@ -103,15 +103,15 @@ def _assemble(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
     return SeriesAE(terms, trunc_a, trunc_e)
 
 
-def fourier_coefficient(
-    mode: Mode, trunc_a: int, trunc_e: int, cache: bool = True
-) -> SeriesAE:
+def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
     """Exact truncated f_{m,k}(a,e); requires m >= 0.
 
     Modes with m = 0 and k < 0 are folded onto f_{0,-k} = f_{0,k}.  When
     trunc_a < m* the mode is invisible at this order: the sum is empty (an
     identically-zero series unless (m,k) = (0,0), which keeps its -1) and a
-    warning is logged.
+    warning is logged.  Results are cached per mode at the largest orders
+    assembled so far and lower orders are served by truncation;
+    `clear_fourier_cache()` empties the cache.
     """
     if mode.m < 0:
         raise ValueError(
@@ -123,8 +123,6 @@ def fourier_coefficient(
         log.warning(
             "mode %s invisible at a-order %d (needs %d)", mode, trunc_a, mode.m_star
         )
-    if not cache:
-        return _assemble(mode, trunc_a, trunc_e)
     mk = (mode.m, mode.k)
     entry = _FOURIER_CACHE.get(mk)
     if entry is not None and entry[0] >= trunc_a and entry[1] >= trunc_e:

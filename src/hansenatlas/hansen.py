@@ -11,9 +11,10 @@ The four routes are fully independent and must agree bit-exactly:
   for k - m >= 0; other keys are reached through the X_k^{n,m} = X_{-k}^{n,-m}
   symmetry).
 
-Results are cached per canonical key at the largest order computed so far;
-lower-order requests are served by slicing.  Everything here is pure, and the
-cache tolerates concurrent recomputation (values are deterministic).
+`hansen()` computes every series afresh; there is no result cache.  The routes
+keep their own memos (the Newcomb operator table and Wnuk's per-order
+workspaces), which `clear_caches()` empties.  Everything here is pure, and the
+memos tolerate concurrent recomputation (values are deterministic).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .exact import (
     Rational,
@@ -193,7 +194,6 @@ class NewcombTable:
 
     def __init__(self) -> None:
         self.values: Dict[Tuple[int, int, int, int], Rational] = {}
-        self.max_rho_sigma = 0
 
     def value(self, n: int, m: int, rho: int, sigma: int) -> Rational:
         if rho < 0 or sigma < 0:
@@ -226,25 +226,20 @@ class NewcombTable:
                 acc += factor * tail
             v = acc / (4 * sigma)
         self.values[key] = v
-        if rho > self.max_rho_sigma or sigma > self.max_rho_sigma:
-            self.max_rho_sigma = max(rho, sigma)
         return v
 
 
 _NEWCOMB = NewcombTable()
 
 
-def hansen_newcomb(
-    n: int, m: int, k: int, trunc: int, table: Optional[NewcombTable] = None
-) -> SeriesE:
+def hansen_newcomb(n: int, m: int, k: int, trunc: int) -> SeriesE:
     """X_k^{n,m} = sum over rho - sigma = k - m of X_{rho,sigma}^{n,m} e^{rho+sigma}."""
-    tab = table if table is not None else _NEWCOMB
     d = k - m
     coeffs: Dict[int, Rational] = {}
     for q in range(abs(d), trunc + 1, 2):
         rho = (q + d) // 2
         sigma = (q - d) // 2
-        v = tab.value(n, m, rho, sigma)
+        v = _NEWCOMB.value(n, m, rho, sigma)
         if v != 0:
             coeffs[q] = v
     return SeriesE(coeffs, trunc, _raw=True)
@@ -476,41 +471,22 @@ def hansen_balmino(n: int, m: int, k: int, trunc: int) -> SeriesE:
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher, cache, tables
+# Dispatcher, tables
 # ---------------------------------------------------------------------------
-
-_HANSEN_CACHE: Dict[HansenKey, Tuple[int, SeriesE]] = {}
-_HC_LOCK = threading.Lock()
-
-
-def _compute_auto(key: HansenKey, trunc: int) -> SeriesE:
-    if key.k == 0:
-        if key.n >= 0:
-            return hansen_k0_closed(key.n, key.m, trunc)
-        return hansen_k0_negative(-key.n - 1, abs(key.m), trunc)
-    return hansen_wnuk(key.n, key.m, key.k, trunc)
 
 
 def hansen(key: HansenKey, trunc: int, method: str = "auto") -> SeriesE:
-    """Dispatch on method; canonicalizes the key and caches `auto` results.
+    """Dispatch on method with the key canonicalized; every call computes afresh.
 
-    `auto` uses the closed form for k = 0 and Wnuk's route otherwise; `k0rec`
-    is the k = 0 recursion.  Explicit methods always compute fresh so that
-    cross-method checks stay independent.
+    `auto` runs `k0` for k = 0 and Wnuk's route otherwise.  `k0` is the closed
+    form for n >= 0 and the negative-exponent form for n < 0; `k0rec` is the
+    k = 0 recursion.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     ck = key.canonical()
     if method == "auto":
-        entry = _HANSEN_CACHE.get(ck)
-        if entry is not None and entry[0] >= trunc:
-            return entry[1] if entry[0] == trunc else entry[1].truncate(trunc)
-        series = _compute_auto(ck, trunc)
-        with _HC_LOCK:
-            entry = _HANSEN_CACHE.get(ck)
-            if entry is None or entry[0] < trunc:
-                _HANSEN_CACHE[ck] = (trunc, series)
-        return series
+        method = "k0" if ck.k == 0 else "wnuk"
     if method in ("k0", "k0rec"):
         if ck.k != 0:
             raise ValueError(f"method {method!r} needs k = 0, got key {key}")
@@ -531,8 +507,7 @@ def hansen_nmk(n: int, m: int, k: int, trunc: int, method: str = "auto") -> Seri
 
 
 def clear_caches() -> None:
-    with _HC_LOCK:
-        _HANSEN_CACHE.clear()
+    """Empty the route memos, so the next call of each route starts cold."""
     with _WS_LOCK:
         _WNUK_WORKSPACES.clear()
     _NEWCOMB.values.clear()

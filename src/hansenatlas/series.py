@@ -9,6 +9,7 @@ they are safe to share across threads and processes.
 Products are exact truncated products; a mixed-order product takes the
 minimum of each truncation bound.  Division requires a divisor with non-zero
 constant term and proceeds by long division on the truncated coefficients.
+Evaluation here is exact; double-precision values come from `atlas.PolyEval`.
 """
 from __future__ import annotations
 
@@ -194,23 +195,7 @@ class SeriesE:
             p >>= 1
         return result
 
-    # -- calculus and evaluation ---------------------------------------------
-
-    def derivative(self) -> "SeriesE":
-        """Termwise d/de (the truncation bound is kept unchanged)."""
-        return SeriesE(
-            {q - 1: q * v for q, v in self.c.items() if q >= 1}, self.trunc, _raw=True
-        )
-
-    def eval_float(self, e: float) -> float:
-        """Horner evaluation in double precision."""
-        acc = 0.0
-        for q in range(self.trunc, -1, -1):
-            acc = acc * e
-            v = self.c.get(q)
-            if v is not None:
-                acc += float(v)
-        return acc
+    # -- evaluation ----------------------------------------------------------
 
     def eval_exact(self, e: RationalLike) -> Rational:
         ex = rational(e)
@@ -295,22 +280,6 @@ class SeriesAE:
     @staticmethod
     def zero(trunc_a: int, trunc_e: int) -> "SeriesAE":
         return SeriesAE({}, trunc_a, trunc_e, _raw=True)
-
-    @staticmethod
-    def constant(value: RationalLike, trunc_a: int, trunc_e: int) -> "SeriesAE":
-        return SeriesAE({(0, 0): value}, trunc_a, trunc_e)
-
-    @staticmethod
-    def from_e_series(
-        s: SeriesE, a_power: int, trunc_a: int, scalar: RationalLike = 1
-    ) -> "SeriesAE":
-        """scalar * a^a_power * s(e), truncated at (trunc_a, s.trunc)."""
-        sc = rational(scalar)
-        coeffs = {}
-        if a_power <= trunc_a and sc != 0:
-            for q, v in s.c.items():
-                coeffs[(a_power, q)] = v * sc
-        return SeriesAE(coeffs, trunc_a, s.trunc, _raw=True)
 
     def coeff(self, n: int, q: int) -> Rational:
         return self.c.get((n, q), ZERO)
@@ -410,25 +379,6 @@ class SeriesAE:
             self.trunc_e,
             _raw=True,
         )
-
-    def eval_float(self, a: float, e: float) -> float:
-        """Horner in a, then in e, in double precision."""
-        rows: Dict[int, Dict[int, Rational]] = {}
-        for (n, q), v in self.c.items():
-            rows.setdefault(n, {})[q] = v
-        acc = 0.0
-        for n in range(self.trunc_a, -1, -1):
-            acc = acc * a
-            row = rows.get(n)
-            if row:
-                inner = 0.0
-                for q in range(self.trunc_e, -1, -1):
-                    inner = inner * e
-                    v = row.get(q)
-                    if v is not None:
-                        inner += float(v)
-                acc += inner
-        return acc
 
     def eval_exact(self, a: RationalLike, e: RationalLike) -> Rational:
         ar, er = rational(a), rational(e)

@@ -110,6 +110,21 @@ def test_hansen_k0rec_table_runs_the_recursion(capsys, monkeypatch):
     assert "needs k = 0" in err
 
 
+def test_hansen_table_manifest_records_method_and_format(tmp_path, capsys):
+    out_dir = tmp_path / "table"
+    code, _, _ = run(
+        capsys, "hansen", "--table", "--method", "newcomb", "--k", "1", "--n", "0..1",
+        "--m", "0..1", "--order", "4", "--format", "csv", "--out", str(out_dir),
+    )
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["command"] == "hansen"
+    assert manifest["arguments"] == {
+        "format": "csv", "k": 1, "m": "0..1", "method": "newcomb", "n": "0..1", "order": 4,
+    }
+    assert manifest["outputs"] == ["hansen_table_k1.csv"]
+
+
 # -- fourier -----------------------------------------------------------------
 
 
@@ -244,6 +259,27 @@ def test_bench_disagreement_exit_code(capsys, monkeypatch):
     )
     assert code == 4
     assert "disagreement" in err
+
+
+def test_bench_computes_each_key_once_per_method(capsys, monkeypatch):
+    real = cli.hansen
+    calls = []
+
+    def counted(key, trunc, method="auto"):
+        calls.append((key, method))
+        return real(key, trunc, method)
+
+    monkeypatch.setattr(cli, "hansen", counted)
+    methods = ("newcomb", "wnuk", "balmino")
+    code, out, _ = run(
+        capsys, "bench", "--methods", ",".join(methods), "--n", "0..2", "--m", "0..1",
+        "--k", "0..2", "--order", "6",
+    )
+    n_keys = 3 * 2 * 3
+    assert code == 0
+    assert f"equality verified on {n_keys} keys" in out
+    assert len(calls) == n_keys * len(methods)
+    assert len(set(calls)) == n_keys * len(methods)
 
 
 # -- spotcheck / config / misc -----------------------------------------------------

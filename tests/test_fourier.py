@@ -8,6 +8,7 @@ from hansenatlas.exact import rational
 from hansenatlas.fourier import (
     Mode,
     asymptotic_consistency,
+    clear_fourier_cache,
     coefficient_csv,
     coefficient_json_obj,
     fourier_coefficient,
@@ -88,8 +89,9 @@ def test_f11_leading():
 
 
 def test_invisible_mode_warns_and_is_zero(caplog):
+    clear_fourier_cache()
     with caplog.at_level(logging.WARNING, logger="hansenatlas.fourier"):
-        f = fourier_coefficient(Mode(1, 1), 2, 4, cache=False)
+        f = fourier_coefficient(Mode(1, 1), 2, 4)
     assert f.is_zero()
     assert any("invisible" in r.message for r in caplog.records)
 
@@ -127,7 +129,8 @@ def test_cache_slicing_consistency():
     full = fourier_coefficient(Mode(2, 3), 12, 12)
     small = fourier_coefficient(Mode(2, 3), 7, 5)
     assert small == full.truncate(7, 5)
-    assert fourier_coefficient(Mode(2, 3), 12, 12, cache=False) == full
+    clear_fourier_cache()
+    assert fourier_coefficient(Mode(2, 3), 12, 12) == full
 
 
 # -- asymptotic coefficients --------------------------------------------------------
@@ -214,7 +217,8 @@ def test_order15_matrices_regenerate():
 
 def test_f00_below_visibility_keeps_constant(caplog):
     # the mode sum is empty below a-order 2, but f_{0,0} keeps its -1 term
+    clear_fourier_cache()
     with caplog.at_level(logging.WARNING, logger="hansenatlas.fourier"):
-        f = fourier_coefficient(Mode(0, 0), 1, 4, cache=False)
+        f = fourier_coefficient(Mode(0, 0), 1, 4)
     assert f == SeriesAE({(0, 0): -1}, 1, 4)
     assert any("invisible" in r.message for r in caplog.records)

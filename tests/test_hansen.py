@@ -7,7 +7,6 @@ from hansenatlas.exact import rational
 from hansenatlas.hansen import (
     HansenKey,
     NewcombTable,
-    clear_caches,
     hansen,
     hansen_balmino,
     hansen_k0_closed,
@@ -201,8 +200,7 @@ def test_dispatcher_rejects_bad_combination():
         hansen_nmk(2, 1, 3, 6, method="nope")
 
 
-def test_cache_slices_lower_orders():
-    clear_caches()
+def test_lower_orders_are_truncations():
     full = hansen_nmk(4, 2, 6, 12)
     sliced = hansen_nmk(4, 2, 6, 8)
     assert sliced == full.truncate(8)
@@ -277,7 +275,6 @@ def test_table_csv_round_layout():
 def test_newcomb_table_tracks_order_bound():
     tab = NewcombTable()
     tab.value(2, 1, 3, 2)
-    assert tab.max_rho_sigma >= 3
     assert (2, 1, 3, 2) in tab.values
 
 
@@ -289,6 +286,6 @@ def test_negative_radius_exponent_with_nonzero_k():
         w = hansen_wnuk(n, m, k, 20)
         assert w == hansen_newcomb(n, m, k, 20)
         assert w == hansen_balmino(n, m, k, 20)
-        assert w.eval_float(0.15) == pytest.approx(
+        assert float(w.eval_exact(0.15)) == pytest.approx(
             oracle_hansen(n, m, k, 0.15, 8192), abs=1e-12
         )
