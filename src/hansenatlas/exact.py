@@ -1,41 +1,37 @@
 """Exact rational scalars and the binomial conventions used by the series engines.
 
-All coefficients in this package are arbitrary-precision rationals kept in
-lowest terms with a positive denominator.  The scalar type is gmpy2.mpq when
-available (much faster), with fractions.Fraction as a drop-in fallback; both
-normalize on construction and raise on division by zero.
+Every coefficient in this package is a `fractions.Fraction`: lowest terms,
+positive denominator, normalized on construction, raising on division by zero.
+The hot exact kernels (Wnuk's route and `SeriesAE.eval_exact`) run on Python
+ints over one common denominator and build a `Fraction` only at the public
+`SeriesE`/`SeriesAE` boundary.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
+# the one rational type; the name is kept for callers that record it
+RATIONAL_BACKEND = "fractions"
 
-    RATIONAL_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _mpq
-
-    RATIONAL_BACKEND = "fractions"
-
-Rational = _mpq
+Rational = Fraction
 RationalLike = Union[int, Rational]
 
-ZERO = _mpq(0)
-ONE = _mpq(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def rational(num: Union[int, str, float, Rational] = 0, den: int = 1) -> Rational:
     """Exact rational num/den in lowest terms; accepts "p/q" strings and floats (dyadic, exact)."""
     if den == 1:
-        return _mpq(num)
-    return _mpq(num, den)
+        return Fraction(num)
+    return Fraction(num, den)
 
 
 def rational_str(x: RationalLike) -> str:
     """Canonical "num/den" text (plain integer when den == 1)."""
-    q = _mpq(x)
+    q = Fraction(x)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -60,7 +56,7 @@ def binomial_rational(top: RationalLike, p: int) -> Rational:
     if p < 0:
         raise ValueError(f"lower binomial index must be non-negative, got {p}")
     num = ONE
-    t = _mpq(top)
+    t = Fraction(top)
     for i in range(p):
         num *= t - i
     return num / math.factorial(p)
@@ -71,7 +67,7 @@ def pochhammer(x: RationalLike, s: int) -> Rational:
     if s < 0:
         raise ValueError(f"pochhammer length must be non-negative, got {s}")
     out = ONE
-    q = _mpq(x)
+    q = Fraction(x)
     for i in range(s):
         out *= q + i
     return out

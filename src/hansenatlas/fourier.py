@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -83,7 +82,6 @@ def legendre_weight(n: int, m: int) -> Rational:
 # ---------------------------------------------------------------------------
 
 _FOURIER_CACHE: Dict[Tuple[int, int], Tuple[int, int, SeriesAE]] = {}
-_FC_LOCK = threading.Lock()
 
 
 def _assemble(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
@@ -109,9 +107,9 @@ def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
     Modes with m = 0 and k < 0 are folded onto f_{0,-k} = f_{0,k}.  When
     trunc_a < m* the mode is invisible at this order: the sum is empty (an
     identically-zero series unless (m,k) = (0,0), which keeps its -1) and a
-    warning is logged.  Results are cached per mode at the largest orders
-    assembled so far and lower orders are served by truncation;
-    `clear_fourier_cache()` empties the cache.
+    warning is logged.  Each mode is cached once, assembled at the largest
+    a-order and the largest e-order requested so far, and every request is
+    served by truncation; `clear_fourier_cache()` empties the cache.
     """
     if mode.m < 0:
         raise ValueError(
@@ -124,20 +122,15 @@ def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
             "mode %s invisible at a-order %d (needs %d)", mode, trunc_a, mode.m_star
         )
     mk = (mode.m, mode.k)
-    entry = _FOURIER_CACHE.get(mk)
-    if entry is not None and entry[0] >= trunc_a and entry[1] >= trunc_e:
-        return entry[2].truncate(trunc_a, trunc_e)
-    series = _assemble(mode, trunc_a, trunc_e)
-    with _FC_LOCK:
-        entry = _FOURIER_CACHE.get(mk)
-        if entry is None or (entry[0], entry[1]) < (trunc_a, trunc_e):
-            _FOURIER_CACHE[mk] = (trunc_a, trunc_e, series)
-    return series
+    entry = _FOURIER_CACHE.get(mk, (-1, -1, None))
+    if entry[0] < trunc_a or entry[1] < trunc_e:
+        top_a, top_e = max(entry[0], trunc_a), max(entry[1], trunc_e)
+        entry = _FOURIER_CACHE[mk] = (top_a, top_e, _assemble(mode, top_a, top_e))
+    return entry[2].truncate(trunc_a, trunc_e)
 
 
 def clear_fourier_cache() -> None:
-    with _FC_LOCK:
-        _FOURIER_CACHE.clear()
+    _FOURIER_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ The four routes are fully independent and must agree bit-exactly:
 
 `hansen()` computes every series afresh; there is no result cache.  The routes
 keep their own memos (the Newcomb operator table and Wnuk's per-order
-workspaces), which `clear_caches()` empties.  Everything here is pure, and the
-memos tolerate concurrent recomputation (values are deterministic).
+workspaces), which `clear_caches()` empties.  Every function here is pure
+apart from those memos; the package runs in one thread per process.  Wnuk's
+route computes on Python ints and returns `Fraction` coefficients.
 """
 from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -31,7 +31,7 @@ from .exact import (
     pochhammer,
     rational,
 )
-from .series import SeriesE, bessel_j_series, beta_series, sqrt_one_minus_e2
+from .series import SeriesE, beta_series, sqrt_one_minus_e2
 
 log = logging.getLogger("hansenatlas.hansen")
 
@@ -249,35 +249,23 @@ def hansen_newcomb(n: int, m: int, k: int, trunc: int) -> SeriesE:
 # Wnuk's route (Bessel functions of k e and powers of beta)
 # ---------------------------------------------------------------------------
 #
-# Internals use dense half-index lists: (lo, [c_0, c_1, ...]) stands for
-# sum_i c_i e^{lo+2i}.  Every quantity in this route has fixed parity
-# (beta^j, J_t(ke), the E-factors and the result itself), which makes the
-# dense representation both compact and fast.
+# Internals run on Python ints in u = e/2, as dense half-index lists:
+# [c_0, c_1, ...] stands for sum_i c_i u^{lo+2i}, with lo fixed by context.
+# Every quantity in this route has fixed parity (beta^j, J_t(ke), the
+# E-factors and the result itself).  With Catalan's C(x) = sum_i Cat_i x^i,
+# beta = u C(u^2) and 1 + beta^2 = C(u^2), so (1+beta^2)^{-1} = 1 - u^2 C(u^2):
+# their powers and the E-factors have integer coefficients.  J_t(ke) =
+# sum_s (-1)^s k^{t+2s} u^{t+2s} / (s!(t+s)!) is held times N!, N the order,
+# since s!(t+s)! divides (t+2s)!, which divides N!.  The sum R(u) is therefore
+# an integer list, and its e^q coefficient is R_q / (N! 2^q).
 
 
-def _dmul(a: List, b: List, length: int) -> List:
+def _dmul(a: List[int], b: List[int], length: int) -> List[int]:
     out = [0] * length
-    for i, ca in enumerate(a):
-        if not ca or i >= length:
-            continue
-        jmax = min(len(b), length - i)
-        for j in range(jmax):
-            cb = b[j]
-            if cb:
-                out[i + j] += ca * cb
-    return out
-
-
-def _dinv(a: List, length: int) -> List:
-    inv0 = 1 / a[0]
-    out = [inv0] + [0] * (length - 1)
-    for i in range(1, length):
-        s = 0
-        for j in range(1, min(i, len(a) - 1) + 1):
-            aj = a[j]
-            if aj:
-                s += aj * out[i - j]
-        out[i] = -inv0 * s if s else 0
+    for i, ca in enumerate(a[:length]):
+        if ca:
+            for j, cb in enumerate(b[: length - i], i):
+                out[j] += ca * cb
     return out
 
 
@@ -287,68 +275,59 @@ class _WnukWorkspace:
     def __init__(self, trunc: int) -> None:
         self.trunc = trunc
         half = trunc // 2 + 1
-        beta = beta_series(trunc)
-        b1 = [beta.coeff(1 + 2 * i) for i in range((trunc - 1) // 2 + 1)] if trunc >= 1 else []
-        pows: List[List] = [[rational(1)] + [0] * (half - 1), b1]
+        catalan = [1]
+        for i in range(half - 1):
+            catalan.append(catalan[-1] * 2 * (2 * i + 1) // (i + 2))
+        self.factorials = [math.factorial(i) for i in range(trunc + 1)]
+        b1 = catalan[: (trunc - 1) // 2 + 1] if trunc >= 1 else []
+        pows: List[List[int]] = [[1], b1]
         for j in range(2, trunc + 1):
-            length = (trunc - j) // 2 + 1
-            pows.append(_dmul(pows[j - 1], b1, length))
+            pows.append(_dmul(pows[j - 1], b1, (trunc - j) // 2 + 1))
         self.beta_pows = pows
-        one_plus_b2 = [rational(1)] + [0] * (half - 1)
-        if trunc >= 2:
-            b2 = pows[2]
-            for i, v in enumerate(b2):
-                if v:
-                    one_plus_b2[i + 1] += v
-        self._base = one_plus_b2
-        self._inv = _dinv(one_plus_b2, half)
-        self._pow_cache: Dict[int, List] = {0: [rational(1)] + [0] * (half - 1)}
-        self._bessel: Dict[Tuple[int, int], List] = {}
+        self._base = catalan
+        self._inv = [1] + [-c for c in catalan[:-1]]
+        self._pow_cache: Dict[int, List[int]] = {0: [1]}
+        self._bessel: Dict[Tuple[int, int], List[int]] = {}
 
-    def one_plus_beta2_pow(self, p: int) -> List:
+    def one_plus_beta2_pow(self, p: int) -> List[int]:
         """(1 + beta^2)^p as an even dense list."""
         v = self._pow_cache.get(p)
         if v is None:
-            half = self.trunc // 2 + 1
             step = self._base if p > 0 else self._inv
             prev = self.one_plus_beta2_pow(p - 1 if p > 0 else p + 1)
-            v = _dmul(prev, step, half)
+            v = _dmul(prev, step, self.trunc // 2 + 1)
             self._pow_cache[p] = v
         return v
 
-    def bessel(self, t: int, k: int) -> Tuple[int, List]:
-        """J_t(k e) with t >= 0 as (lo, dense list over (q - t)/2)."""
+    def bessel(self, t: int, k: int) -> List[int]:
+        """N! J_t(k e) with t >= 0 as a dense list over (q - t)/2, in u."""
         key = (t, k)
         v = self._bessel.get(key)
         if v is None:
-            series = bessel_j_series(t, k, self.trunc)
-            length = (self.trunc - t) // 2 + 1 if self.trunc >= t else 0
-            v = [0] * length
-            for q, c in series.c.items():
-                v[(q - t) // 2] = c
+            fact = self.factorials
+            top = fact[self.trunc]
+            v = [
+                (-1) ** s * k ** (t + 2 * s) * (top // (fact[s] * fact[t + s]))
+                for s in range((self.trunc - t) // 2 + 1)
+            ]
             while v and not v[-1]:
                 v.pop()
             self._bessel[key] = v
-        return t, v
+        return v
 
 
 _WNUK_WORKSPACES: Dict[int, _WnukWorkspace] = {}
-_WS_LOCK = threading.Lock()
 
 
 def _workspace(trunc: int) -> _WnukWorkspace:
     ws = _WNUK_WORKSPACES.get(trunc)
     if ws is None:
-        with _WS_LOCK:
-            ws = _WNUK_WORKSPACES.get(trunc)
-            if ws is None:
-                ws = _WnukWorkspace(trunc)
-                _WNUK_WORKSPACES[trunc] = ws
+        ws = _WNUK_WORKSPACES[trunc] = _WnukWorkspace(trunc)
     return ws
 
 
-def _wnuk_e_factor(ws: _WnukWorkspace, n: int, m: int, d: int) -> List:
-    """E_d^{n,m} as a dense list with lo = |d|.
+def _wnuk_e_factor(ws: _WnukWorkspace, n: int, m: int, d: int) -> List[int]:
+    """E_d^{n,m} as a dense list with lo = |d|, in u.
 
     E_d = (-beta)^{d} sum_s C(n-m+1, d+s) C(n+m+1, s) beta^{2s}        (d >= 0)
         = (-beta)^{-d} sum_s C(n+m+1, -d+s) C(n-m+1, s) beta^{2s}      (d < 0)
@@ -358,7 +337,7 @@ def _wnuk_e_factor(ws: _WnukWorkspace, n: int, m: int, d: int) -> List:
     if ad > trunc:
         return []
     length = (trunc - ad) // 2 + 1
-    out: List = [0] * length
+    out = [0] * length
     beta_pows = ws.beta_pows
     for s in range(length):
         if d >= 0:
@@ -369,12 +348,8 @@ def _wnuk_e_factor(ws: _WnukWorkspace, n: int, m: int, d: int) -> List:
             continue
         if ad % 2:
             c = -c
-        bp = beta_pows[ad + 2 * s]
-        top = min(len(bp), length - s)
-        for i in range(top):
-            v = bp[i]
-            if v:
-                out[s + i] += c * v
+        for i, v in enumerate(beta_pows[ad + 2 * s][: length - s], s):
+            out[i] += c * v
     return out
 
 
@@ -391,28 +366,28 @@ def hansen_wnuk(n: int, m: int, k: int, trunc: int) -> SeriesE:
         spread = (trunc - ad0) // 2
         t_values = list(range(min(0, d0) - spread, max(0, d0) + spread + 1))
     acc_len = (trunc - ad0) // 2 + 1
-    acc: List = [0] * acc_len
+    acc = [0] * acc_len
     for t in t_values:
         d = d0 - t
         order0 = abs(d) + abs(t)
         if order0 > trunc:
             continue
-        jt_lo, jt = ws.bessel(abs(t), k) if t >= 0 else ws.bessel(-t, k)
+        jt = ws.bessel(abs(t), k)
         if not jt:
             continue
-        neg_t = t < 0 and t % 2 != 0
         e_fac = _wnuk_e_factor(ws, n, m, d)
         if not e_fac:
             continue
-        length = (trunc - order0) // 2 + 1
-        prod = _dmul(e_fac, jt, length)
-        offset = (order0 - ad0) // 2
-        for i, v in enumerate(prod):
-            if v:
-                acc[offset + i] += -v if neg_t else v
-    power = ws.one_plus_beta2_pow(-(n + 1))
-    result = _dmul(acc, power, acc_len)
-    coeffs = {ad0 + 2 * i: v for i, v in enumerate(result) if v}
+        prod = _dmul(e_fac, jt, (trunc - order0) // 2 + 1)
+        if t < 0 and t % 2:
+            prod = [-v for v in prod]
+        for i, v in enumerate(prod, (order0 - ad0) // 2):
+            acc[i] += v
+    result = _dmul(acc, ws.one_plus_beta2_pow(-(n + 1)), acc_len)
+    scale = ws.factorials[trunc]
+    coeffs = {
+        ad0 + 2 * i: rational(v, scale << (ad0 + 2 * i)) for i, v in enumerate(result) if v
+    }
     return SeriesE(coeffs, trunc, _raw=True)
 
 
@@ -508,8 +483,7 @@ def hansen_nmk(n: int, m: int, k: int, trunc: int, method: str = "auto") -> Seri
 
 def clear_caches() -> None:
     """Empty the route memos, so the next call of each route starts cold."""
-    with _WS_LOCK:
-        _WNUK_WORKSPACES.clear()
+    _WNUK_WORKSPACES.clear()
     _NEWCOMB.values.clear()
 
 

@@ -3,8 +3,9 @@
 SeriesE is a univariate series in the eccentricity e, SeriesAE a bivariate
 series in the semimajor axis a and e.  Both are sparse (no zero coefficient is
 ever stored), keep every exponent within their per-variable truncation bound,
-and are immutable after construction: all arithmetic returns new values, so
-they are safe to share across threads and processes.
+and are immutable after construction: all arithmetic returns new values.
+`SeriesAE.eval_exact` keeps its integer-scaled coefficients on the series the
+first time it runs.
 
 Products are exact truncated products; a mixed-order product takes the
 minimum of each truncation bound.  Division requires a divisor with non-zero
@@ -253,7 +254,7 @@ class SeriesE:
 class SeriesAE:
     """Truncated bivariate series sum c_{n,q} a^n e^q with n <= trunc_a, q <= trunc_e."""
 
-    __slots__ = ("c", "trunc_a", "trunc_e")
+    __slots__ = ("c", "trunc_a", "trunc_e", "_int_rows")
 
     def __init__(
         self,
@@ -276,6 +277,7 @@ class SeriesAE:
                     self.c[(n, q)] = r
         self.trunc_a = trunc_a
         self.trunc_e = trunc_e
+        self._int_rows = None
 
     @staticmethod
     def zero(trunc_a: int, trunc_e: int) -> "SeriesAE":
@@ -381,23 +383,54 @@ class SeriesAE:
         )
 
     def eval_exact(self, a: RationalLike, e: RationalLike) -> Rational:
+        """Exact value at (a, e), by Horner on Python ints.
+
+        The coefficients are scaled once to one denominator D, c = C/D, and the
+        integer rows are kept on the series.  With a = A/Da and e = E/De,
+            D Da^Na De^Ne f(a, e) = sum_n A^n Da^(Na-n) sum_q C_nq E^q De^(Ne-q)
+        is an integer (Na, Ne the largest exponents present); a row whose
+        exponents share a parity runs in e^2.
+        """
         ar, er = rational(a), rational(e)
-        rows: Dict[int, Dict[int, Rational]] = {}
+        if self._int_rows is None:
+            self._int_rows = self._scaled_rows()
+        den, ne, rows = self._int_rows
+        if not rows:
+            return ZERO
+        A, Da = ar.numerator, ar.denominator
+        E, De = er.numerator, er.denominator
+        E2, De2 = E * E, De * De
+        n_top = prev_n = rows[0][0]
+        acc = 0
+        for n, lo, hi, step2, coeffs in rows:
+            x, dx = (E2, De2) if step2 else (E, De)
+            h = 0
+            dpow = 1
+            for c in coeffs:
+                h = h * x + c * dpow
+                dpow *= dx
+            inner = h * E**lo * De ** (ne - hi)
+            acc = acc * A ** (prev_n - n) + inner * Da ** (n_top - n)
+            prev_n = n
+        return Rational(acc * A**prev_n, den * Da**n_top * De**ne)
+
+    def _scaled_rows(self):
+        """(D, Ne, rows): per a-exponent n, descending, (n, lowest q, highest q,
+        step-2 flag, integer coefficients from the highest q down)."""
+        if not self.c:
+            return 1, 0, []
+        den = math.lcm(*(v.denominator for v in self.c.values()))
+        by_n: Dict[int, Dict[int, int]] = {}
         for (n, q), v in self.c.items():
-            rows.setdefault(n, {})[q] = v
-        acc = rational(0)
-        for n in range(self.trunc_a, -1, -1):
-            acc = acc * ar
-            row = rows.get(n)
-            if row:
-                inner = rational(0)
-                for q in range(self.trunc_e, -1, -1):
-                    inner = inner * er
-                    v = row.get(q)
-                    if v is not None:
-                        inner += v
-                acc += inner
-        return acc
+            by_n.setdefault(n, {})[q] = v.numerator * (den // v.denominator)
+        rows = []
+        for n in sorted(by_n, reverse=True):
+            row = by_n[n]
+            lo, hi = min(row), max(row)
+            step2 = all((q - lo) % 2 == 0 for q in row)
+            coeffs = [row.get(q, 0) for q in range(hi, lo - 1, -2 if step2 else -1)]
+            rows.append((n, lo, hi, step2, coeffs))
+        return den, max(q for _, q in self.c), rows
 
     def to_text(self) -> str:
         """Canonical text: terms sorted by (n, q), each `num/den * a^n * e^q`."""

@@ -1,11 +1,14 @@
 """Command-line surface: flags, formats, exit codes, reproducibility."""
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from hansenatlas import cli
 from hansenatlas.series import SeriesE
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -340,6 +343,10 @@ def test_zeros_byte_reproducible_across_processes(tmp_path):
     for seed, name in (("1", "p1"), ("31337", "p2")):
         out_dir = tmp_path / name
         env = dict(os.environ, PYTHONHASHSEED=seed)
+        # the subprocess does not see pytest's pythonpath setting
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [
                 sys.executable, "-m", "hansenatlas.cli",

@@ -133,6 +133,25 @@ def test_cache_slicing_consistency():
     assert fourier_coefficient(Mode(2, 3), 12, 12) == full
 
 
+def test_cache_serves_crossed_orders(monkeypatch):
+    from hansenatlas import fourier
+
+    fresh = fourier._assemble
+    assembled = []
+
+    def counting(mode, trunc_a, trunc_e):
+        assembled.append((trunc_a, trunc_e))
+        return fresh(mode, trunc_a, trunc_e)
+
+    monkeypatch.setattr(fourier, "_assemble", counting)
+    clear_fourier_cache()
+    mode = Mode(2, 3)
+    for orders in [(12, 6), (6, 12), (12, 6), (6, 12)]:
+        assert fourier_coefficient(mode, *orders) == fresh(mode, *orders)
+    assert len(assembled) <= 2
+    clear_fourier_cache()
+
+
 # -- asymptotic coefficients --------------------------------------------------------
 
 

@@ -159,6 +159,20 @@ def test_wnuk_zero_for_n0_m0():
         assert hansen_wnuk(0, 0, k, 14).is_zero()
 
 
+def test_wnuk_equals_newcomb_at_order_60():
+    # every canonical key of f_{5,-2}, f_{10,-4} and f_{15,-6} at order 60
+    keys = [
+        HansenKey(n, 5 * j, -2 * j).canonical()
+        for j in (1, 2, 3)
+        for n in range(5 * j, 61, 2)
+    ]
+    assert len(keys) == 77
+    for key in keys:
+        assert hansen_wnuk(key.n, key.m, key.k, 60) == hansen_newcomb(
+            key.n, key.m, key.k, 60
+        ), key
+
+
 # -- Balmino's route ---------------------------------------------------------------------
 
 

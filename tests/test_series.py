@@ -243,3 +243,53 @@ def test_bivariate_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def _term_sum(s, a, e):
+    """sum_{n,q} c_nq a^n e^q, term by term in Fraction arithmetic."""
+    a, e = rational(a), rational(e)
+    return sum((v * a**n * e**q for (n, q), v in s.c.items()), rational(0))
+
+
+EXACT_POINTS = [
+    (0.1877365808308593, 0.8997775438185494),  # dyadic: a float
+    (rational(1, 3), rational(7, 10)),  # non-dyadic
+    (0, 0),
+    (0, rational(7, 10)),
+    (rational(1, 3), 0),
+    (-0.25, rational(-7, 10)),  # negative
+    (rational(-2, 3), 0.5),
+]
+
+
+@pytest.mark.parametrize("a, e", EXACT_POINTS)
+def test_series_ae_eval_exact_matches_term_sum(a, e):
+    # rows of both parities, mixed parity in one row, denominators 1..9
+    s = SeriesAE(
+        {
+            (0, 0): rational(1, 3), (1, 1): rational(-5, 7), (1, 4): 2,
+            (3, 0): rational(11, 6), (3, 2): rational(-1, 9), (3, 6): rational(3, 5),
+            (4, 3): -4, (4, 4): rational(1, 8), (6, 5): rational(-2, 9),
+        },
+        6, 6,
+    )
+    assert s.eval_exact(a, e) == _term_sum(s, a, e)
+    assert s.eval_exact(a, e) == _term_sum(s, a, e)  # again, from the kept rows
+
+
+@pytest.mark.parametrize("a, e", EXACT_POINTS)
+def test_fourier_order60_eval_exact_matches_term_sum(a, e):
+    from hansenatlas.fourier import Mode, fourier_coefficient
+
+    f = fourier_coefficient(Mode(5, -2), 60, 60)
+    assert f.eval_exact(a, e) == _term_sum(f, a, e)
+
+
+@given(series_ae(), rationals, rationals)
+@settings(max_examples=80, deadline=None)
+def test_series_ae_eval_exact_property(s, a, e):
+    assert s.eval_exact(a, e) == _term_sum(s, a, e)
+
+
+def test_series_ae_eval_exact_zero_series():
+    assert SeriesAE.zero(4, 4).eval_exact(rational(1, 3), 0.5) == 0
