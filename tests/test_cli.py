@@ -386,6 +386,10 @@ ZEROS_DIGESTS = {
         "curves.csv": "d118e82ba1054e2a370554886085cafaaeb7ee559c3a9d07ca02eaf500470a75",
         "atlas.json": "f1ecb1760b10a6dbc8324f3b07c944050ccd8480f5d9dc06f81d58918511abde",
     },
+    ("--task", "curves", "--order", "20", "--mmax", "8", "--grid", "300"): {
+        "curves.csv": "5b564e44380c49d81cf25c69cb4703694940d15c0e4d6f6384931d24013e2910",
+        "atlas.json": "94e53d1cd09904936363f368a93df86992124a05b63a2c568e381d0429bcb49c",
+    },
 }
 
 
