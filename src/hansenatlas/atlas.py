@@ -8,7 +8,9 @@ whose zero set in (0,1)^2 coincides with that of f_{m,k} away from the axes;
 the raw coefficient vanishes identically on e = 0 (for m != k) and a = 0,
 which would flood a sign-based tracer with boundary artifacts.
 
-Pipeline per mode: value grid on [delta, 1-delta]^2 -> marching squares with
+Pipeline per mode: sign grid on [delta, 1-delta]^2, evaluated in row blocks
+of about GRID_BLOCK nodes that stay in cache, by sparse Horner (`PolyEval.at`,
+dense Horner's values without its zero steps) -> marching squares with
 per-edge bisection -> chained polylines (ZeroCurve) -> pairwise-proximity
 seeds -> damped Newton on the exact-series Jacobian (IntersectionReport) ->
 near-triple triangles with area/incenter/inradius (TriangleReport).  A triple
@@ -43,6 +45,7 @@ EPS_CURVE = 1e-9
 RESIDUAL_TOL = 1e-12
 DEDUPE_TOL = 1e-6
 DEFAULT_GRID = 512
+GRID_BLOCK = 1 << 17  # grid nodes evaluated per call when a grid is sampled
 NEWTON_MAX_ITER = 50
 NEWTON_DAMPING = 0.5
 BISECT_ITER = 54
@@ -66,22 +69,47 @@ class PolyEval:
         for (n, q), v in series.c.items():
             C[n, q] = float(v)
         self.C = C
+        # the e-exponents of the nonzero columns, highest first, with their
+        # coefficient columns, and which a-rows are nonzero
+        self._cols = np.flatnonzero(C.any(axis=0))[::-1]
+        self._Ce = np.ascontiguousarray(C[:, self._cols])
+        self._nz_rows = C.any(axis=1)
         self._rows = None
 
     def at(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Values p(a, e) with `a` and `e` broadcast against each other: paired
         points for equal shapes, the grid V[i,j] = p(ax[i], ex[j]) for
-        `at(ax[:, None], ex[None, :])`."""
+        `at(ax[:, None], ex[None, :])`.
+
+        Dense Horner in a, then in e, minus the steps that cannot change a
+        value: the a-Horner runs on the nonzero e-columns only and starts at
+        the top nonzero a-row; the e-Horner starts at the top nonzero column;
+        neither adds a zero row or column.  Every multiplication and addition
+        left is the dense scheme's, in its order, so each value is the dense
+        one bit for bit, except that a zero may carry the other sign.
+        """
         a = np.asarray(a, dtype=float)
         e = np.asarray(e, dtype=float)
-        R = np.zeros(a.shape + (self.trunc_e + 1,))
-        for n in range(self.trunc_a, -1, -1):
-            R *= a[..., None]
-            R += self.C[n]
         v = np.zeros(np.broadcast_shapes(a.shape, e.shape))
-        for q in range(self.trunc_e, -1, -1):
+        cols = self._cols
+        if not len(cols):
+            return v
+        # R[i] is the a-Horner accumulator of column cols[i], shaped like `a`
+        Ce = self._Ce.reshape(self._Ce.shape + (1,) * a.ndim)
+        top = int(np.flatnonzero(self._nz_rows)[-1])
+        R = np.empty((len(cols),) + a.shape)
+        R[...] = Ce[top]
+        for n in range(top - 1, -1, -1):
+            R *= a
+            if self._nz_rows[n]:
+                R += Ce[n]
+        v[...] = R[0]
+        for i in range(1, len(cols)):
+            for _ in range(cols[i - 1] - cols[i]):
+                v *= e
+            v += R[i]
+        for _ in range(cols[-1]):
             v *= e
-            v += R[..., q]
         return v
 
     def at_point(self, a: float, e: float) -> float:
@@ -227,12 +255,24 @@ def grid_axis(grid_n: int) -> np.ndarray:
     return np.linspace(delta, 1.0 - delta, grid_n)
 
 
+def _grid_blocks(surf, ax: np.ndarray):
+    """(rows, values) for consecutive row blocks of the grid ax x ax, with
+    values[i, j] = surf.normalized_at(ax[rows][i], ax[j]).  A block has about
+    GRID_BLOCK nodes, so its Horner passes stay in cache."""
+    step = max(1, GRID_BLOCK // len(ax))
+    for i in range(0, len(ax), step):
+        rows = slice(i, i + step)
+        yield rows, surf.normalized_at(ax[rows, None], ax[None, :])
+
+
 def eval_grid(mode: Mode, order: Tuple[int, int], grid_n: int = DEFAULT_GRID) -> np.ndarray:
     """Normalized coefficient values on the uniform grid (rows: a, columns: e)."""
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
-    ax = grid_axis(grid_n)
-    return ModeSurface(mode, order).normalized_at(ax[:, None], ax[None, :])
+    V = np.empty((grid_n, grid_n))
+    for rows, values in _grid_blocks(ModeSurface(mode, order), grid_axis(grid_n)):
+        V[rows] = values
+    return V
 
 
 def _bisect_edges(
@@ -286,7 +326,9 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     if not surf.visible():
         return []
     ax = grid_axis(grid_n)
-    S = surf.normalized_at(ax[:, None], ax[None, :]) > 0.0
+    S = np.empty((grid_n, grid_n), dtype=bool)
+    for rows, values in _grid_blocks(surf, ax):
+        S[rows] = values > 0.0
 
     # edge ids: ("a", i, j) crosses between nodes (i,j)-(i+1,j);
     #           ("e", i, j) between (i,j)-(i,j+1)

@@ -11,9 +11,11 @@ spotcheck series value vs quadrature oracle at one (m,k,a,e)
 
 Exit codes: 0 success, 2 usage error, 3 numerical-domain error,
 4 cross-method disagreement.  A `--config key=value` file supplies defaults
-(command line wins); HANSENATLAS_JOBS sets the default worker count; with
---out DIR all artifacts land in DIR together with a manifest.json naming the
-inputs, orders and tool version.
+(command line wins); a key is an option's dest or flag spelling, and any other
+key is a usage error, as is an unknown name in `zeros --formats`.
+HANSENATLAS_JOBS sets the default worker count; with --out DIR all artifacts
+land in DIR together with a manifest.json naming the inputs, orders and tool
+version.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ from .svgplot import render_svg
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_DISAGREEMENT = 4
+ZEROS_FORMATS = ("csv", "json", "svg")
 
 
 def _parse_range(text: str) -> List[int]:
@@ -99,30 +102,32 @@ class _Outputs:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
+    """Fill options left at their defaults from the `--config` file.  A key is
+    an option's dest or its flag spelling (`order_e` or `order-e`); any other
+    key is a usage error."""
     path = getattr(args, "config", None)
     if not path:
         return
-    defaults: Dict[str, object] = getattr(args, "_defaults", {})
+    actions: Dict[str, argparse.Action] = args._actions
     overrides = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        overrides[key.strip()] = value.strip()
-    for key, value in overrides.items():
-        if not hasattr(args, key) or key not in defaults:
-            continue
-        if getattr(args, key) != defaults[key]:
+        key = key.strip()
+        dest = key.replace("-", "_")
+        if dest not in actions:
+            raise ValueError(f"unknown key {key!r} in config file {path}")
+        overrides[dest] = value.strip()
+    for dest, value in overrides.items():
+        action = actions[dest]
+        if getattr(args, dest) != action.default:
             continue  # explicit command-line value wins
-        if isinstance(defaults[key], bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(defaults[key], int):
-            setattr(args, key, int(value))
-        elif isinstance(defaults[key], float):
-            setattr(args, key, float(value))
+        if isinstance(action.default, bool):
+            setattr(args, dest, value.lower() in ("1", "true", "yes"))
         else:
-            setattr(args, key, value)
+            setattr(args, dest, action.type(value) if action.type else value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default=None, help="explicit list, e.g. '5,-2;3,4'")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--jobs", type=int, default=default_jobs)
-    p.add_argument("--formats", default="csv,json,svg")
+    p.add_argument("--formats", default=",".join(ZEROS_FORMATS))
     p.add_argument("--config")
     p.add_argument("--out")
 
@@ -189,11 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command_parser in sub.choices.values():
         command_parser.set_defaults(
-            _defaults={
-                a.dest: a.default
-                for a in command_parser._actions
-                if a.dest not in ("help", "_defaults")
-            }
+            _actions={a.dest: a for a in command_parser._actions if a.dest != "help"}
         )
     return parser
 
@@ -259,6 +260,15 @@ def _cmd_tmk(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
+    formats = args.formats.split(",")
+    unknown = [f for f in formats if f not in ZEROS_FORMATS]
+    if unknown:
+        print(
+            f"unknown format(s) {', '.join(map(repr, unknown))}; "
+            f"choose from {','.join(ZEROS_FORMATS)}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     order_e = args.order_e if args.order_e is not None else args.order
     modes = _parse_modes(args.modes) if args.modes else None
     report = scan_modes(
@@ -269,7 +279,6 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
         jobs=max(1, args.jobs),
         modes=modes,
     )
-    formats = set(args.formats.split(","))
     out = _Outputs(
         args.out,
         "zeros",
@@ -389,7 +398,6 @@ def _cmd_spotcheck(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args)
     handlers = {
         "hansen": _cmd_hansen,
         "fourier": _cmd_fourier,
@@ -399,6 +407,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "spotcheck": _cmd_spotcheck,
     }
     try:
+        _apply_config(args)
         return handlers[args.command](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -4,13 +4,18 @@ Everything here runs at small orders/grids; the order-60 reproduction lives
 in the acceptance suite.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hansenatlas.atlas import (
+    GRID_BLOCK,
     AtlasReport,
     ModeSurface,
+    PolyEval,
     eval_grid,
     find_double,
     find_triple,
@@ -19,8 +24,9 @@ from hansenatlas.atlas import (
     trace_surface,
     triangle_metrics,
 )
-from hansenatlas.fourier import Mode, fourier_coefficient
+from hansenatlas.fourier import Mode, fourier_coefficient, g2_modes
 from hansenatlas.report import atlas_json, curves_csv
+from hansenatlas.series import SeriesAE
 from hansenatlas.svgplot import render_svg
 
 from curve_certificates import dropped_crossings, grid_sign_margin
@@ -54,6 +60,102 @@ def test_grid_signs_deterministic_across_paths():
 def test_eval_grid_sign_change_present_for_2_5_at_60():
     V = eval_grid(Mode(2, 5), (60, 60), grid_n=64)
     assert (V > 0).any() and (V < 0).any()
+
+
+def test_grid_blocks_match_one_call():
+    # the blocked grid is the one-call grid bit for bit, short last block too
+    rows = GRID_BLOCK // 600
+    assert rows < 600 and 600 % rows
+    surf = ModeSurface(Mode(2, 5), (20, 20))
+    ax = grid_axis(600)
+    V = surf.normalized_at(ax[:, None], ax[None, :])
+    assert np.array_equal(eval_grid(Mode(2, 5), (20, 20), 600), V)
+
+
+# -- float Horner against the dense reference ----------------------------------
+
+
+def dense_horner(C, a, e):
+    """Dense Horner over every coefficient of C, in a and then in e: the
+    reference that PolyEval.at must equal bit for bit."""
+    a = np.asarray(a, dtype=float)
+    e = np.asarray(e, dtype=float)
+    R = np.zeros(a.shape + (C.shape[1],))
+    for n in range(C.shape[0] - 1, -1, -1):
+        R *= a[..., None]
+        R += C[n]
+    v = np.zeros(np.broadcast_shapes(a.shape, e.shape))
+    for q in range(C.shape[1] - 1, -1, -1):
+        v *= e
+        v += R[..., q]
+    return v
+
+
+def assert_at_is_dense(poly, a, e):
+    got = poly.at(a, e)
+    want = dense_horner(poly.C, a, e)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)  # equal up to the sign of a zero
+
+
+def test_at_equals_dense_horner_on_order20_surfaces():
+    ax = grid_axis(64)
+    rng = np.random.default_rng(20)
+    a = np.concatenate([rng.random(300), [0.0, 1.0, 0.0, 0.5]])
+    e = np.concatenate([rng.random(300), [0.0, 0.0, 1.0, 0.0]])
+    for mode in g2_modes(8):
+        series = fourier_coefficient(mode, 20, 20)
+        for s in (series, series.derivative_a(), series.derivative_e()):
+            poly = PolyEval(s)
+            assert_at_is_dense(poly, ax[:, None], ax[None, :])
+            assert_at_is_dense(poly, a, e)
+
+
+@pytest.mark.parametrize(
+    "coeffs, trunc_a, trunc_e",
+    [
+        ({}, 3, 4),  # zero series
+        ({(0, 0): Fraction(5, 3)}, 2, 2),  # constant
+        ({(2, 3): -7}, 4, 5),  # single monomial
+        ({(0, 0): 1, (1, 3): 2, (2, 1): Fraction(-3, 7)}, 2, 3),  # e-column 2 all zero
+        ({(0, 1): 1, (1, 0): -2, (1, 2): Fraction(1, 3)}, 5, 2),  # a-rows 2..5 all zero
+    ],
+    ids=["zero", "constant", "monomial", "interior-zero-column", "zero-top-rows"],
+)
+def test_at_equals_dense_horner_on_edge_cases(coeffs, trunc_a, trunc_e):
+    poly = PolyEval(SeriesAE(coeffs, trunc_a, trunc_e))
+    ax = np.array([-0.75, -0.0, 0.0, 1e-3, 0.3, 0.7, 1.0, 1.5])
+    assert_at_is_dense(poly, ax[:, None], ax[None, :])
+    assert_at_is_dense(poly, ax, ax[::-1])
+    assert_at_is_dense(poly, np.float64(0.3), ax)
+    assert_at_is_dense(poly, ax, 0.6)
+
+
+@st.composite
+def sparse_int_series(draw):
+    trunc_a = draw(st.integers(min_value=0, max_value=8))
+    trunc_e = draw(st.integers(min_value=0, max_value=8))
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=trunc_a), st.integers(min_value=0, max_value=trunc_e)
+    )
+    coeffs = draw(st.dictionaries(keys, st.integers(min_value=-40, max_value=40), max_size=12))
+    return SeriesAE(coeffs, trunc_a, trunc_e)
+
+
+@given(
+    sparse_int_series(),
+    st.lists(
+        st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_at_equals_dense_horner_property(series, points):
+    poly = PolyEval(series)
+    a, e = np.array(points).T
+    assert_at_is_dense(poly, a, e)
+    assert_at_is_dense(poly, a[:, None], e[None, :])
 
 
 # -- tracing ------------------------------------------------------------------
@@ -113,9 +215,6 @@ def test_trace_1_m7_curve_vanishes_between_orders_20_and_30():
 def test_marching_squares_on_synthetic_circle():
     # tracer core on a known implicit curve:
     # (4(a-1/2))^2 + (4(e-1/2))^2 - 1 = 16a^2 - 16a + 16e^2 - 16e + 7
-    from hansenatlas.atlas import PolyEval
-    from hansenatlas.series import SeriesAE
-
     circle = SeriesAE(
         {(0, 0): 7, (1, 0): -16, (2, 0): 16, (0, 1): -16, (0, 2): 16}, 2, 2
     )

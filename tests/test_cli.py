@@ -209,6 +209,17 @@ def test_zeros_byte_reproducible(tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
+def test_zeros_unknown_format_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "zz"
+    code, _, err = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--grid", "64",
+        "--formats", "csv,jsn", "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "'jsn'" in err
+    assert not out_dir.exists()
+
+
 def test_zeros_explicit_mode_list(tmp_path, capsys):
     code, out, _ = run(
         capsys, "zeros", "--task", "curves", "--order", "20", "--modes", "2,5;1,2",
@@ -319,6 +330,27 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert "grid=64" in out
+
+
+def test_config_flag_spelling_sets_its_option(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("order-e=8\ngrid=64\n")
+    code, out, _ = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--config", str(cfg),
+    )
+    assert code == 0
+    assert "order=(10,8) grid=64" in out
+
+
+def test_config_unknown_key_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grd=64\n")
+    code, out, err = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--config", str(cfg),
+    )
+    assert code == 2
+    assert "'grd'" in err
+    assert out == ""
 
 
 def test_usage_error_exit_code_from_argparse(capsys):
