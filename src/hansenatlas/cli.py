@@ -11,8 +11,10 @@ spotcheck series value vs quadrature oracle at one (m,k,a,e)
 
 Exit codes: 0 success, 2 usage error, 3 numerical-domain error,
 4 cross-method disagreement.  A `--config key=value` file supplies defaults
-(command line wins); a key is an option's dest or flag spelling, and any other
-key is a usage error, as is an unknown name in `zeros --formats`.
+(an option given on the command line wins, even at its default value); a key
+is an option's dest or flag spelling.  Any other key, a value outside the
+option's choices, a boolean other than 1/0/true/false/yes/no and an unknown
+name in `zeros --formats` are usage errors.
 HANSENATLAS_JOBS sets the default worker count; with --out DIR all artifacts
 land in DIR together with a manifest.json naming the inputs, orders and tool
 version.
@@ -25,7 +27,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from . import __version__
 from .atlas import DEFAULT_GRID, PolyEval, scan_modes
@@ -52,6 +54,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_DISAGREEMENT = 4
 ZEROS_FORMATS = ("csv", "json", "svg")
+# the spellings a config file may give a store_true option
+_BOOLEAN_WORDS = {
+    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
+}
 
 
 def _parse_range(text: str) -> List[int]:
@@ -101,10 +107,38 @@ class _Outputs:
         (self.dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill options left at their defaults from the `--config` file.  A key is
-    an option's dest or its flag spelling (`order_e` or `order-e`); any other
-    key is a usage error."""
+def _command_line_dests(argv: Optional[Sequence[str]]) -> Set[str]:
+    """The dests that argv itself gives: a second parse with every default suppressed."""
+    parser = build_parser()
+    for action in parser.parse_args(argv)._actions.values():
+        action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _config_value(action: argparse.Action, key: str, value: str) -> object:
+    """A config file's text for `action`, converted and checked as argparse would."""
+    if isinstance(action.default, bool):
+        flag = value.lower()
+        if flag not in _BOOLEAN_WORDS:
+            raise ValueError(f"config key {key!r}: {value!r} is not a boolean")
+        return _BOOLEAN_WORDS[flag]
+    try:
+        converted = action.type(value) if action.type else value
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(
+            f"config key {key!r}: invalid choice {value!r} "
+            f"(choose from {', '.join(map(str, action.choices))})"
+        )
+    return converted
+
+
+def _apply_config(args: argparse.Namespace, argv: Optional[Sequence[str]]) -> None:
+    """Fill options that the command line does not give from the `--config`
+    file.  A key is an option's dest or its flag spelling (`order_e` or
+    `order-e`); any other key, a value outside the option's choices and a
+    boolean other than 1/0/true/false/yes/no are usage errors."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -119,15 +153,11 @@ def _apply_config(args: argparse.Namespace) -> None:
         dest = key.replace("-", "_")
         if dest not in actions:
             raise ValueError(f"unknown key {key!r} in config file {path}")
-        overrides[dest] = value.strip()
+        overrides[dest] = _config_value(actions[dest], key, value.strip())
+    given = _command_line_dests(argv)
     for dest, value in overrides.items():
-        action = actions[dest]
-        if getattr(args, dest) != action.default:
-            continue  # explicit command-line value wins
-        if isinstance(action.default, bool):
-            setattr(args, dest, value.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, dest, action.type(value) if action.type else value)
+        if dest not in given:
+            setattr(args, dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "spotcheck": _cmd_spotcheck,
     }
     try:
-        _apply_config(args)
+        _apply_config(args, argv)
         return handlers[args.command](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

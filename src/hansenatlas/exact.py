@@ -2,9 +2,9 @@
 
 Every coefficient in this package is a `fractions.Fraction`: lowest terms,
 positive denominator, normalized on construction, raising on division by zero.
-The hot exact kernels (Wnuk's route and `SeriesAE.eval_exact`) run on Python
-ints over one common denominator and build a `Fraction` only at the public
-`SeriesE`/`SeriesAE` boundary.
+The hot exact kernels (Wnuk's and Balmino's routes and `SeriesAE.eval_exact`)
+run on Python ints over one common denominator and build a `Fraction` only at
+the public `SeriesE`/`SeriesAE` boundary.
 """
 from __future__ import annotations
 

@@ -15,12 +15,14 @@ The four routes are fully independent and must agree bit-exactly:
 keep their own memos (the Newcomb operator table and Wnuk's per-order
 workspaces), which `clear_caches()` empties.  Every function here is pure
 apart from those memos; the package runs in one thread per process.  Wnuk's
-route computes on Python ints and returns `Fraction` coefficients.
+and Balmino's routes compute on Python ints over one common denominator and
+build each `Fraction` coefficient once.
 """
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -404,44 +406,56 @@ def hansen_balmino(n: int, m: int, k: int, trunc: int) -> SeriesE:
         [ 2 C(2t-n+s-p-q-2, t-j) - C(2t-n+s-p-q-1, t-j) ] } (e/2)^{2t},
     negative upper binomial indices following the signed convention.  Keys with
     s < 0 are served through X_k^{n,m} = X_{-k}^{n,-m}.
+
+    The sum is regrouped by r = p + q.  The bracket depends on p and q only
+    through r, and k^p/p! k^q/q! = (k^r/r!) C(r, p), so
+        sum_{j<=t} sum_{r<=s+2j} bracket(t, j, r) (k^r/r!) a_j(r),
+        a_j(r) = sum_p (-1)^(r-p) C(r, p) C(n+m+1, j-p) C(n-m+1, s+j-r+p),
+    where the integer rows a_j do not depend on t and are computed once per
+    key.  They are held times k^r R!/r!, R = s + 2 floor((trunc-s)/2) the
+    largest r reached, and the bracket is a function of t-j and s+2j-r alone,
+    so each e^(s+2t) coefficient is (-1)^s C_t / (R! 2^(s+2t)) with C_t a sum
+    of integer dot products.
     """
     s = k - m
     if s < 0:
         return hansen_balmino(n, -m, -k, trunc)
     if s > trunc:
         return SeriesE.zero(trunc)
-    kp = [rational(k**p, math.factorial(p)) for p in range(s + trunc + 2)]
+    top_t = (trunc - s) // 2
+    big_r = s + 2 * top_t
+    c_plus = [binomial_general(n + m + 1, i) for i in range(top_t + 1)]
+    c_minus = [binomial_general(n - m + 1, i) for i in range(big_r + 1)]
+    scale = math.factorial(big_r)
+    weights = [k**r * (scale // math.factorial(r)) for r in range(big_r + 1)]
+    rows: List[List[int]] = []
+    for j in range(top_t + 1):
+        row = []
+        for r in range(s + 2 * j + 1):
+            a = 0
+            if weights[r]:
+                for p in range(max(0, r - s - j), min(j, r) + 1):
+                    term = math.comb(r, p) * c_plus[j - p] * c_minus[s + j - r + p]
+                    a += -term if (r - p) % 2 else term
+            row.append(a * weights[r])
+        rows.append(row)
+    # bracket(t, j, r) = brackets[t-j][s+2j-r]
+    brackets = [
+        [
+            2 * binomial_general(2 * d - n - 2 + i, d) - binomial_general(2 * d - n - 1 + i, d)
+            for i in range(s + 2 * (top_t - d) + 1)
+        ]
+        for d in range(top_t + 1)
+    ]
     sign_s = 1 if s % 2 == 0 else -1
     coeffs: Dict[int, Rational] = {}
-    for t in range((trunc - s) // 2 + 1):
-        total = rational(0)
-        for j in range(t + 1):
-            for p in range(j + 1):
-                b1 = binomial_general(n + m + 1, j - p)
-                if not b1:
-                    continue
-                outer = b1 * kp[p]
-                if outer == 0:
-                    continue
-                inner = rational(0)
-                for q in range(s + j + 1):
-                    b2 = binomial_general(n - m + 1, s + j - q)
-                    if not b2:
-                        continue
-                    kq = kp[q]
-                    if kq == 0:
-                        continue
-                    bracket = 2 * binomial_general(
-                        2 * t - n + s - p - q - 2, t - j
-                    ) - binomial_general(2 * t - n + s - p - q - 1, t - j)
-                    if not bracket:
-                        continue
-                    term = b2 * bracket * kq
-                    inner += term if q % 2 == 0 else -term
-                if inner:
-                    total += outer * inner
+    for t in range(top_t + 1):
+        total = sum(
+            sum(map(operator.mul, rows[j], reversed(brackets[t - j][: s + 2 * j + 1])))
+            for j in range(t + 1)
+        )
         if total:
-            coeffs[s + 2 * t] = sign_s * total / 2 ** (s + 2 * t)
+            coeffs[s + 2 * t] = rational(sign_s * total, scale << (s + 2 * t))
     return SeriesE(coeffs, trunc, _raw=True)
 
 

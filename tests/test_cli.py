@@ -353,6 +353,53 @@ def test_config_unknown_key_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+def test_config_loses_to_explicit_flag_at_its_default(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=64\n")
+    code, out, _ = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--grid", "512",
+        "--config", str(cfg),
+    )
+    assert code == 0
+    assert "grid=512" in out
+
+
+def test_config_value_outside_choices_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=xml\n")
+    code, out, err = run(
+        capsys, "hansen", "--table", "--k", "1", "--n", "0..1", "--m", "0..1", "--order", "4",
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert "'format'" in err and "'xml'" in err
+    assert out == ""
+
+
+def test_config_boolean_outside_its_words_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("table=ture\n")
+    code, out, err = run(
+        capsys, "hansen", "--k", "1", "--n", "0..1", "--m", "0..1", "--order", "4",
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert "'table'" in err and "'ture'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("word", ["1", "True", "yes"])
+def test_config_boolean_words_set_the_flag(tmp_path, capsys, word):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"table={word}\nformat=csv\n")
+    code, out, _ = run(
+        capsys, "hansen", "--k", "1", "--n", "0..1", "--m", "0..1", "--order", "4",
+        "--config", str(cfg),
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "n,\"X^(n,0)_1\",\"X^(n,1)_1\""
+
+
 def test_usage_error_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["hansen", "--n", "2"])

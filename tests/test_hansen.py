@@ -1,9 +1,14 @@
 """Hansen coefficient routes: closed forms, recursions, operators, symmetries."""
 import logging
+import math
+from fractions import Fraction
+from typing import Dict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hansenatlas.exact import rational
+from hansenatlas.exact import Rational, binomial_general, rational
 from hansenatlas.hansen import (
     HansenKey,
     NewcombTable,
@@ -168,9 +173,9 @@ def test_wnuk_equals_newcomb_at_order_60():
     ]
     assert len(keys) == 77
     for key in keys:
-        assert hansen_wnuk(key.n, key.m, key.k, 60) == hansen_newcomb(
-            key.n, key.m, key.k, 60
-        ), key
+        wnuk = hansen_wnuk(key.n, key.m, key.k, 60)
+        assert wnuk == hansen_newcomb(key.n, key.m, key.k, 60), key
+        assert hansen_balmino(key.n, key.m, key.k, 60) == wnuk, key
 
 
 # -- Balmino's route ---------------------------------------------------------------------
@@ -184,6 +189,79 @@ def test_balmino_examples():
     assert hansen_balmino(0, 3, 8, 9) == S(
         {5: rational(2611, 80), 7: rational(-87599, 480), 9: rational(155981, 384)}, 9
     )
+
+
+def _balmino_reference(n: int, m: int, k: int, trunc: int) -> SeriesE:
+    """X_{m+s}^{n,m} for s = k-m >= 0 by the closed multiple sum.
+
+    X = (-1)^s (e/2)^s sum_t { sum_{j<=t} sum_{p<=j} C(n+m+1, j-p) k^p/p!
+        sum_{q<=s+j} C(n-m+1, s+j-q) (-1)^q k^q/q!
+        [ 2 C(2t-n+s-p-q-2, t-j) - C(2t-n+s-p-q-1, t-j) ] } (e/2)^{2t},
+    negative upper binomial indices following the signed convention.  Keys with
+    s < 0 are served through X_k^{n,m} = X_{-k}^{n,-m}.
+    """
+    s = k - m
+    if s < 0:
+        return _balmino_reference(n, -m, -k, trunc)
+    if s > trunc:
+        return SeriesE.zero(trunc)
+    kp = [rational(k**p, math.factorial(p)) for p in range(s + trunc + 2)]
+    sign_s = 1 if s % 2 == 0 else -1
+    coeffs: Dict[int, Rational] = {}
+    for t in range((trunc - s) // 2 + 1):
+        total = rational(0)
+        for j in range(t + 1):
+            for p in range(j + 1):
+                b1 = binomial_general(n + m + 1, j - p)
+                if not b1:
+                    continue
+                outer = b1 * kp[p]
+                if outer == 0:
+                    continue
+                inner = rational(0)
+                for q in range(s + j + 1):
+                    b2 = binomial_general(n - m + 1, s + j - q)
+                    if not b2:
+                        continue
+                    kq = kp[q]
+                    if kq == 0:
+                        continue
+                    bracket = 2 * binomial_general(
+                        2 * t - n + s - p - q - 2, t - j
+                    ) - binomial_general(2 * t - n + s - p - q - 1, t - j)
+                    if not bracket:
+                        continue
+                    term = b2 * bracket * kq
+                    inner += term if q % 2 == 0 else -term
+                if inner:
+                    total += outer * inner
+        if total:
+            coeffs[s + 2 * t] = sign_s * total / 2 ** (s + 2 * t)
+    return SeriesE(coeffs, trunc, _raw=True)
+
+
+def _assert_balmino_is_reference(n, m, k, trunc):
+    got = hansen_balmino(n, m, k, trunc)
+    ref = _balmino_reference(n, m, k, trunc)
+    assert got == ref, (n, m, k, trunc)
+    assert got.c == ref.c and all(type(v) is Fraction for v in got.c.values())
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 7, 12, 16])
+def test_balmino_equals_quadruple_sum_reference(trunc):
+    # the box holds k = 0, s = k-m < 0 (reflected) and s > trunc (zero)
+    for n in range(-3, 9):
+        for m in range(-3, 4):
+            for k in range(-10, 11):
+                _assert_balmino_is_reference(n, m, k, trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-6, 14), st.integers(-6, 6), st.integers(-14, 14), st.integers(0, 20)
+)
+def test_balmino_equals_quadruple_sum_reference_property(n, m, k, trunc):
+    _assert_balmino_is_reference(n, m, k, trunc)
 
 
 def test_balmino_reflects_negative_s():
