@@ -12,10 +12,13 @@ Pipeline per mode: sign grid on [delta, 1-delta]^2, evaluated in row blocks
 of about GRID_BLOCK nodes that stay in cache, by sparse Horner (`PolyEval.at`,
 dense Horner's values without its zero steps) -> marching squares with
 per-edge bisection -> chained polylines (ZeroCurve) -> pairwise-proximity
-seeds -> damped Newton on the exact-series Jacobian (IntersectionReport) ->
-near-triple triangles with area/incenter/inradius (TriangleReport).  A triple
-zero is certified only when a Gauss-Newton solve of the full 3-system reaches
-residuals <= RESIDUAL_TOL on all three coefficients.
+seeds -> damped Newton in float per seed, on fhat with the float Horner of the
+exact derivative series as Jacobian -> dedupe of the converged points -> one
+exact residual check, polished if needed, per distinct point
+(IntersectionReport) -> near-triple triangles with area/incenter/inradius
+(TriangleReport).  A triple zero is certified only when a Gauss-Newton solve
+of the full 3-system, confirmed the same way, reaches residuals <=
+RESIDUAL_TOL on all three coefficients.
 
 `trace_surface` is the one tracer.  `find_double` (j = 1, 2) and
 `find_triple` (j = 1, 2, 3) trace f_{jm,jk} once each and return a
@@ -503,58 +506,37 @@ def _polyline_distance(curves: Sequence[ZeroCurve], point: Tuple[float, float]) 
 NORMALIZED_NEWTON_TOL = 1e-13
 
 
-def _newton_system(
+def _fhat_jac(surfs: Sequence[ModeSurface], x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    rows = [s.normalized_value_and_jac(x[0], x[1]) for s in surfs]
+    return np.array([r[0] for r in rows]), np.array([[r[1], r[2]] for r in rows])
+
+
+def _step(F: np.ndarray, J: np.ndarray) -> Optional[np.ndarray]:
+    """Newton step (least squares for three surfaces); None if J is singular."""
+    try:
+        if len(F) == 2:
+            return np.linalg.solve(J, -F)
+        return np.linalg.lstsq(J, -F, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _newton_float(
     surfs: Sequence[ModeSurface], seed: Tuple[float, float]
-) -> Optional[Tuple[Tuple[float, float], Tuple[float, ...], int]]:
-    """Damped (Gauss-)Newton refinement; returns (point, exact raw residuals, iters).
-
-    The iteration runs on the normalized coefficients (which have transversal
-    zeros where the raw ones vanish to high order near the axes, so spurious
-    absolute-residual solutions never converge).  The final point must satisfy
-    |fhat_j| <= EPS_CURVE for every surface and, after a few polish steps with
-    exactly-evaluated residuals, |f_j| <= RESIDUAL_TOL.  None on divergence.
-    """
+) -> Optional[Tuple[Tuple[float, float], int]]:
+    """Damped (Gauss-)Newton in float down to |fhat_j| <= NORMALIZED_NEWTON_TOL;
+    returns (point, iterations), None on divergence.  It runs on the normalized
+    coefficients, whose zeros stay transversal where the raw ones vanish to high
+    order near the axes, so spurious absolute-residual solutions never converge."""
     x = np.array(seed, dtype=float)
-
-    def fhat_jac(pt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        rows = [s.normalized_value_and_jac(pt[0], pt[1]) for s in surfs]
-        return (
-            np.array([r[0] for r in rows]),
-            np.array([[r[1], r[2]] for r in rows]),
-        )
-
-    def f_exact(pt: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                float(s.series.eval_exact(rational(pt[0]), rational(pt[1])))
-                for s in surfs
-            ]
-        )
-
-    def raw_jac(pt: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                [s.da.at_point(pt[0], pt[1]), s.de.at_point(pt[0], pt[1])]
-                for s in surfs
-            ]
-        )
-
-    def step_from(F: np.ndarray, J: np.ndarray) -> Optional[np.ndarray]:
-        try:
-            if len(surfs) == 2:
-                return np.linalg.solve(J, -F)
-            return np.linalg.lstsq(J, -F, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return None
-
     iterations = 0
     stagnant = 0
-    F, J = fhat_jac(x)
+    F, J = _fhat_jac(surfs, x)
     for _ in range(NEWTON_MAX_ITER):
         fmax = np.max(np.abs(F))
         if fmax <= NORMALIZED_NEWTON_TOL:
             break
-        step = step_from(F, J)
+        step = _step(F, J)
         if step is None:
             return None
         lam = 1.0
@@ -562,7 +544,7 @@ def _newton_system(
         for _ in range(40):
             xn = x + lam * step
             if 0.0 < xn[0] < 1.0 and 0.0 < xn[1] < 1.0:
-                Fn, Jn = fhat_jac(xn)
+                Fn, Jn = _fhat_jac(surfs, xn)
                 if np.max(np.abs(Fn)) < fmax or np.max(np.abs(Fn)) <= NORMALIZED_NEWTON_TOL:
                     x, F, J = xn, Fn, Jn
                     accepted = True
@@ -577,11 +559,31 @@ def _newton_system(
             return None
     if np.max(np.abs(F)) > NORMALIZED_NEWTON_TOL:
         return None
-    # exact raw residuals (float Horner roundoff can hide above the tolerance)
+    return (float(x[0]), float(x[1])), iterations
+
+
+def _confirm(
+    surfs: Sequence[ModeSurface], x: Tuple[float, float], iterations: int
+) -> Optional[Tuple[Tuple[float, float], Tuple[float, ...], int]]:
+    """Exact check of a float-converged point: the raw residuals, evaluated
+    exactly (float Horner roundoff can hide above the tolerance), must reach
+    |f_j| <= RESIDUAL_TOL within 10 polish steps, each counted as an iteration,
+    and then |fhat_j| <= EPS_CURVE.  Returns (point, residuals, iterations)."""
+
+    def f_exact(pt: np.ndarray) -> np.ndarray:
+        return np.array(
+            [float(s.series.eval_exact(rational(pt[0]), rational(pt[1]))) for s in surfs]
+        )
+
+    def raw_jac(pt: np.ndarray) -> np.ndarray:
+        return np.array([[s.da.at_point(*pt), s.de.at_point(*pt)] for s in surfs])
+
+    x = np.array(x, dtype=float)
     Fe = f_exact(x)
-    polish = 0
-    while np.max(np.abs(Fe)) > RESIDUAL_TOL and polish < 10:
-        step = step_from(Fe, raw_jac(x))
+    for _ in range(10):
+        if np.max(np.abs(Fe)) <= RESIDUAL_TOL:
+            break
+        step = _step(Fe, raw_jac(x))
         if step is None:
             return None
         xn = x + step
@@ -589,27 +591,11 @@ def _newton_system(
             return None
         x = xn
         Fe = f_exact(x)
-        polish += 1
         iterations += 1
-    if np.max(np.abs(Fe)) > RESIDUAL_TOL:
-        return None
-    fhat_final, _ = fhat_jac(x)
-    if np.max(np.abs(fhat_final)) > EPS_CURVE:
+    fhat = _fhat_jac(surfs, x)[0]
+    if np.max(np.abs(Fe)) > RESIDUAL_TOL or np.max(np.abs(fhat)) > EPS_CURVE:
         return None
     return (float(x[0]), float(x[1])), tuple(abs(float(v)) for v in Fe), iterations
-
-
-def _dedupe_points(
-    results: List[Tuple[Tuple[float, float], Tuple[float, ...], int]]
-) -> List[Tuple[Tuple[float, float], Tuple[float, ...], int]]:
-    out: List[Tuple[Tuple[float, float], Tuple[float, ...], int]] = []
-    for item in sorted(results, key=lambda r: r[0]):
-        if all(
-            math.hypot(item[0][0] - kept[0][0], item[0][1] - kept[0][1]) > DEDUPE_TOL
-            for kept in out
-        ):
-            out.append(item)
-    return out
 
 
 def _refine_pair(
@@ -618,36 +604,41 @@ def _refine_pair(
     multiples: Tuple[int, int],
     grid_n: int,
 ) -> Tuple[IntersectionReport, ...]:
-    """Newton-refined common zeros of the pair of surfaces `multiples`, seeded
-    where their curves come within two grid steps."""
-    surf_a, surf_b = (surfs[j] for j in multiples)
+    """Common zeros of the pair of surfaces `multiples`, seeded where their
+    curves come within two grid steps.  Of the float-converged seeds, sorted,
+    each one farther than DEDUPE_TOL from all confirmed so far is confirmed;
+    when that fails, the next member of its cluster gets its turn."""
+    pair = tuple(surfs[j] for j in multiples)
+    mode = pair[0].mode
     curves_a, curves_b = (curves[j] for j in multiples)
     radius = 2.0 / grid_n
-    seeds = _proximity_seeds(curves_a, curves_b, radius)
-    refined = []
-    for seed in seeds:
-        res = _newton_system((surf_a, surf_b), seed)
+    converged, dropped = [], []
+    for seed in _proximity_seeds(curves_a, curves_b, radius):
+        res = _newton_float(pair, seed)
         if res is None:
-            log.info(
-                "mode %s %s: Newton dropped seed (%.6f, %.6f)",
-                surf_a.mode,
-                multiples,
-                seed[0],
-                seed[1],
-            )
+            dropped.append(seed)
+        else:
+            converged.append((res, seed))
+    confirmed = []
+    for (x, iters), seed in sorted(converged, key=lambda c: c[0][0]):
+        if any(_dist(x, kept[0]) <= DEDUPE_TOL for kept in confirmed):
             continue
-        refined.append(res)
+        res = _confirm(pair, x, iters)
+        if res is None:
+            dropped.append(seed)
+        else:
+            confirmed.append(res)
+    for seed in dropped:
+        log.info("mode %s %s: Newton dropped seed (%.6f, %.6f)", mode, multiples, *seed)
     reports = []
-    for point, residuals, iters in _dedupe_points(refined):
+    for point, residuals, iters in confirmed:
         if (
             _polyline_distance(curves_a, point) <= radius
             and _polyline_distance(curves_b, point) <= radius
         ):
-            reports.append(
-                IntersectionReport(surf_a.mode, multiples, point, residuals, iters)
-            )
+            reports.append(IntersectionReport(mode, multiples, point, residuals, iters))
         else:
-            log.info("mode %s: refined point strayed from parent polylines", surf_a.mode)
+            log.info("mode %s: refined point strayed from parent polylines", mode)
     return tuple(reports)
 
 
@@ -763,10 +754,12 @@ def find_triple(
             )
 
     certificates: List[TripleZeroCertificate] = []
+    triple = (surfs[1], surfs[2], surfs[3])
     for tri in triangles[:5]:
-        res = _newton_system((surfs[1], surfs[2], surfs[3]), tri.incenter)
-        if res is not None:
-            point, residuals, _ = res
+        converged = _newton_float(triple, tri.incenter)
+        confirmed = converged and _confirm(triple, *converged)
+        if confirmed:
+            point, residuals, _ = confirmed
             certificates.append(
                 TripleZeroCertificate(mode, order, point, residuals)  # type: ignore[arg-type]
             )

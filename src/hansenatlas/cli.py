@@ -12,12 +12,14 @@ spotcheck series value vs quadrature oracle at one (m,k,a,e)
 Exit codes: 0 success, 2 usage error, 3 numerical-domain error,
 4 cross-method disagreement.  A `--config key=value` file supplies defaults
 (an option given on the command line wins, even at its default value); a key
-is an option's dest or flag spelling.  Any other key, a value outside the
-option's choices, a boolean other than 1/0/true/false/yes/no and an unknown
-name in `zeros --formats` are usage errors.
-HANSENATLAS_JOBS sets the default worker count; with --out DIR all artifacts
-land in DIR together with a manifest.json naming the inputs, orders and tool
-version.
+is an option's dest or flag spelling, and an option taking several values
+takes them whitespace-separated (`eval=0.3 0.1`).  Any other key, a wrong
+number of values, a value outside the option's choices, a boolean other than
+1/0/true/false/yes/no and an unknown name in `zeros --formats` are usage
+errors.  HANSENATLAS_JOBS sets the default worker count; a value of it (under
+any subcommand) or of `--jobs` that is not an integer >= 1 is a usage error
+too.  With --out DIR all artifacts land in DIR together with a manifest.json
+naming the inputs, orders and tool version.
 """
 from __future__ import annotations
 
@@ -107,6 +109,17 @@ class _Outputs:
         (self.dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _worker_count(text: str) -> int:
+    """A worker count: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
+    return count
+
+
 def _command_line_dests(argv: Optional[Sequence[str]]) -> Set[str]:
     """The dests that argv itself gives: a second parse with every default suppressed."""
     parser = build_parser()
@@ -122,16 +135,23 @@ def _config_value(action: argparse.Action, key: str, value: str) -> object:
         if flag not in _BOOLEAN_WORDS:
             raise ValueError(f"config key {key!r}: {value!r} is not a boolean")
         return _BOOLEAN_WORDS[flag]
-    try:
-        converted = action.type(value) if action.type else value
-    except ValueError:
-        raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
-    if action.choices is not None and converted not in action.choices:
-        raise ValueError(
-            f"config key {key!r}: invalid choice {value!r} "
-            f"(choose from {', '.join(map(str, action.choices))})"
-        )
-    return converted
+    # an option taking a fixed number of values takes them whitespace-separated
+    fixed = isinstance(action.nargs, int)
+    words = value.split() if fixed else [value]
+    if fixed and len(words) != action.nargs:
+        raise ValueError(f"config key {key!r}: expected {action.nargs} values, got {value!r}")
+    converted = []
+    for word in words:
+        try:
+            converted.append(action.type(word) if action.type else word)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and converted[-1] not in action.choices:
+            raise ValueError(
+                f"config key {key!r}: invalid choice {value!r} "
+                f"(choose from {', '.join(map(str, action.choices))})"
+            )
+    return converted if fixed else converted[0]
 
 
 def _apply_config(args: argparse.Namespace, argv: Optional[Sequence[str]]) -> None:
@@ -168,7 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get("HANSENATLAS_JOBS", "1"))
+    try:
+        default_jobs = _worker_count(os.environ.get("HANSENATLAS_JOBS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"HANSENATLAS_JOBS: {exc}") from None
 
     p = sub.add_parser("hansen", help="Hansen coefficient series")
     p.add_argument("--n", required=True, help="radius exponent (int or lo..hi)")
@@ -201,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=int, default=None, help="bound on |m|+|k|")
     p.add_argument("--modes", default=None, help="explicit list, e.g. '5,-2;3,4'")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=_worker_count, default=default_jobs)
     p.add_argument("--formats", default=",".join(ZEROS_FORMATS))
     p.add_argument("--config")
     p.add_argument("--out")
@@ -306,7 +329,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
         m_max=args.mmax,
         task=args.task,
         grid_n=args.grid,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         modes=modes,
     )
     out = _Outputs(
@@ -426,8 +449,6 @@ def _cmd_spotcheck(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "hansen": _cmd_hansen,
         "fourier": _cmd_fourier,
@@ -437,6 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "spotcheck": _cmd_spotcheck,
     }
     try:
+        args = build_parser().parse_args(argv)
         _apply_config(args, argv)
         return handlers[args.command](args)
     except DomainError as exc:

@@ -44,23 +44,27 @@ def grid_sign_margin(series: SeriesAE, grid_n: int) -> Tuple[int, float]:
 
 
 class _DroppedCrossings(logging.Handler):
-    def __init__(self):
+    def __init__(self, mode):
         super().__init__(logging.INFO)
+        self.mode = mode
         self.total = 0
 
     def emit(self, record):
         # "mode %s order %s: %d edge crossings above eps dropped"
-        if record.msg.endswith("edge crossings above eps dropped"):
+        if record.msg.endswith("edge crossings above eps dropped") and (
+            self.mode is None or record.args[0] == self.mode
+        ):
             self.total += record.args[-1]
 
 
 @contextlib.contextmanager
-def dropped_crossings():
+def dropped_crossings(mode=None):
     """Yield a counter whose `total` sums the edge crossings that tracing
-    inside the block dropped for bisecting to |fhat| > eps."""
+    inside the block dropped for bisecting to |fhat| > eps; given a `mode`,
+    only those of that mode's own surfaces (not of its multiples)."""
     atlas_log = logging.getLogger("hansenatlas.atlas")
     level = atlas_log.level
-    counter = _DroppedCrossings()
+    counter = _DroppedCrossings(mode)
     atlas_log.setLevel(logging.INFO)
     atlas_log.addHandler(counter)
     try:

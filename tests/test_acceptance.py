@@ -187,17 +187,21 @@ def test_criterion4_oracle_agreement():
 # ---------------------------------------------------------------------------
 
 
-def _certified_curve_counts(mode):
+def _certified_curve_counts(mode, curves60):
     """Curve counts at SCAN_ORDERS with what certifies them: grid signs left
-    unsettled by Horner's error bound, the worst bound/|f| over the grid, and
-    edge crossings dropped.  A mode whose count changes over the orders is
-    traced again on a grid of twice the resolution ("curves_fine")."""
+    unsettled by Horner's error bound and the worst bound/|f| over the grid.
+    The order-60 count is that of `curves60`, the curves already traced on
+    GRID.  A mode whose count changes over the orders is traced again on a
+    grid of twice the resolution ("curves_fine")."""
     result = {"unsettled": 0, "worst_margin": 0.0}
 
     def counts_on(grid_n):
         counts = {}
         for order in SCAN_ORDERS:
-            counts[order] = len(trace_surface(ModeSurface(mode, (order, order)), grid_n))
+            if grid_n == GRID and order == 60:
+                counts[order] = len(curves60)
+            else:
+                counts[order] = len(trace_surface(ModeSurface(mode, (order, order)), grid_n))
             unsettled, worst = grid_sign_margin(
                 fourier_coefficient(mode, order, order), grid_n
             )
@@ -205,52 +209,57 @@ def _certified_curve_counts(mode):
             result["worst_margin"] = max(result["worst_margin"], worst)
         return counts
 
-    with dropped_crossings() as dropped:
-        result["curves"] = counts_on(GRID)
-        if len(set(result["curves"].values())) > 1:
-            result["curves_fine"] = counts_on(2 * GRID)
-    result["dropped"] = dropped.total
+    result["curves"] = counts_on(GRID)
+    if len(set(result["curves"].values())) > 1:
+        result["curves_fine"] = counts_on(2 * GRID)
     return result
+
+
+def _pair_points(reports):
+    return [(r.point, r.residuals, r.newton_iterations) for r in reports]
 
 
 def _family_scan(mode_tuple):
     """Per-mode worker: certified curve counts and double zeros at each scan
-    order, triples at 60 plus the extra published orders for (3,4) and (5,-2)."""
+    order, triples at 60 plus the extra published orders for (3,4) and (5,-2).
+    Order 60 is traced and refined once, by find_triple: its f_{m,k} curves
+    give that order's curve count and its pair (1,2) the double zeros there.
+    "dropped" counts the edge crossings dropped by the f_{m,k} traces behind
+    the curve counts, that one included."""
     m, k = mode_tuple
     mode = Mode(m, k)
     for j in (1, 2, 3):
         if 3 * mode.m_star <= 60 and 3 * abs(mode.m - mode.k) <= 60:
             fourier_coefficient(mode.multiple(j), 60, 60)
     out = {"mode": mode_tuple, "double": {}, "triples": {}}
-    out.update(_certified_curve_counts(mode))
-    double_orders = set(SCAN_ORDERS)
+    with dropped_crossings(mode) as dropped:
+        triples = {60: find_triple(mode, (60, 60), GRID)}
+        out.update(_certified_curve_counts(mode, dict(triples[60].curves)[1]))
+    out["dropped"] = dropped.total
+    out["double"][60] = _pair_points(triples[60].pair(1, 2))
+    double_orders = [o for o in SCAN_ORDERS if o != 60]
     if mode_tuple == (2, 5):
-        double_orders.add(50)
-    for order in sorted(double_orders):
+        double_orders.append(50)
+    for order in double_orders:
         if 2 * mode.m_star <= order and 2 * abs(mode.m - mode.k) <= order:
             reports = find_double(mode, (order, order), GRID).pair(1, 2)
-            out["double"][order] = [
-                (r.point, r.residuals, r.newton_iterations) for r in reports
-            ]
-    triple_orders = [60]
+            out["double"][order] = _pair_points(reports)
     if mode_tuple == (3, 4):
-        triple_orders.append(40)
+        triples[40] = find_triple(mode, (40, 40), GRID)
     if mode_tuple == (5, -2):
-        triple_orders.append(58)
-    for order in triple_orders:
-        if 3 * mode.m_star <= order and 3 * abs(mode.m - mode.k) <= order:
-            res = find_triple(mode, (order, order), GRID)
-            out["triples"][order] = {
-                "triangles": [
-                    (t.vertices, t.area, t.incenter, t.inradius) for t in res.triangles
-                ],
-                "certificates": len(res.certificates),
-                "pair_residuals": [
-                    max(r.residuals)
-                    for _, reps in res.pair_reports
-                    for r in reps
-                ],
-            }
+        triples[58] = find_triple(mode, (58, 58), GRID)
+    for order, res in triples.items():
+        out["triples"][order] = {
+            "triangles": [
+                (t.vertices, t.area, t.incenter, t.inradius) for t in res.triangles
+            ],
+            "certificates": len(res.certificates),
+            "pair_residuals": [
+                max(r.residuals)
+                for _, reps in res.pair_reports
+                for r in reps
+            ],
+        }
     return out
 
 

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hansenatlas import atlas
 from hansenatlas.atlas import (
     GRID_BLOCK,
     AtlasReport,
+    IntersectionReport,
     ModeSurface,
     PolyEval,
     eval_grid,
@@ -293,6 +295,63 @@ def test_find_triple_structure_small_order():
     for _, reports in res.pair_reports:
         for rep in reports:
             assert max(rep.residuals) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mode, order, grid_n", [(Mode(1, 2), (12, 12), 64), (Mode(2, 5), (30, 30), 128)]
+)
+def test_find_double_is_find_triple_restricted_to_j_1_2(mode, order, grid_n):
+    # the acceptance fixture reads its order-60 double zeros and f_{m,k}
+    # curve count off find_triple
+    double = find_double(mode, order, grid_n)
+    triple = find_triple(mode, order, grid_n)
+    assert double.curves == tuple((j, cs) for j, cs in triple.curves if j in (1, 2))
+    assert double.pair(1, 2) == triple.pair(1, 2)
+
+
+def test_find_double_confirms_each_distinct_point_once(monkeypatch):
+    # eight seeds converge in float to one point: one exact residual per
+    # surface, and the report is the one the confirm-every-seed scheme kept
+    calls = []
+    eval_exact = SeriesAE.eval_exact
+    monkeypatch.setattr(
+        SeriesAE, "eval_exact", lambda self, *xs: calls.append(xs) or eval_exact(self, *xs)
+    )
+    reports = find_double(Mode(2, 5), (30, 30), 128).pair(1, 2)
+    assert len(calls) == 2
+    assert reports == (
+        IntersectionReport(
+            Mode(2, 5),
+            (1, 2),
+            (0.6199069160575563, 0.7198767653355207),
+            (1.396057801103287e-17, 4.5454365164073886e-17),
+            4,
+        ),
+    )
+
+
+def test_failed_confirmation_falls_back_to_next_cluster_member(monkeypatch):
+    converged, confirms = [], []
+    newton_float, confirm = atlas._newton_float, atlas._confirm
+
+    def recording_newton(surfs, seed):
+        res = newton_float(surfs, seed)
+        if res is not None:
+            converged.append(res)
+        return res
+
+    def first_fails(surfs, x, iterations):
+        confirms.append((surfs, x, iterations))
+        return None if len(confirms) == 1 else confirm(surfs, x, iterations)
+
+    monkeypatch.setattr(atlas, "_newton_float", recording_newton)
+    monkeypatch.setattr(atlas, "_confirm", first_fails)
+    (rep,) = find_double(Mode(2, 5), (30, 30), 128).pair(1, 2)
+    first, second = sorted(converged, key=lambda r: r[0])[:2]
+    assert math.dist(first[0], second[0]) <= atlas.DEDUPE_TOL
+    assert [(x, it) for _, x, it in confirms] == [first, second]
+    surfs = confirms[1][0]
+    assert (rep.point, rep.residuals, rep.newton_iterations) == confirm(surfs, *second)
 
 
 # -- scans ---------------------------------------------------------------------

@@ -413,6 +413,55 @@ def test_jobs_env_default(monkeypatch):
     assert args.jobs == 3
 
 
+def test_jobs_env_not_an_integer_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HANSENATLAS_JOBS", "abc")
+    code, out, err = run(capsys, "tmk", "--m", "1", "--k", "2")
+    assert code == 2
+    assert "HANSENATLAS_JOBS" in err and "'abc'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("source", ["env", "flag"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_usage_error(monkeypatch, capsys, source, jobs):
+    argv = ["zeros", "--task", "curves", "--order", "6", "--mmax", "2", "--grid", "16"]
+    if source == "env":
+        monkeypatch.setenv("HANSENATLAS_JOBS", jobs)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "HANSENATLAS_JOBS" in err
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--jobs", jobs])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "--jobs" in err
+    assert f"'{jobs}'" in err
+    assert out == ""
+
+
+def test_config_sets_a_two_value_option(tmp_path, capsys):
+    argv = ["fourier", "--m", "2", "--k", "2", "--order", "6"]
+    _, flag_out, _ = run(capsys, *argv, "--eval", "0.3", "0.1")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eval=0.3 0.1\n")
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert out == flag_out == "-0.06853727022865447\n"
+
+
+@pytest.mark.parametrize("value", ["0.3", "0.3 0.1 0.2", "0.3 x"])
+def test_config_two_value_option_wrong_words_usage_error(tmp_path, capsys, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"eval={value}\n")
+    code, out, err = run(
+        capsys, "fourier", "--m", "2", "--k", "2", "--order", "6", "--config", str(cfg)
+    )
+    assert code == 2
+    assert "'eval'" in err
+    assert out == ""
+
+
 def test_zeros_byte_reproducible_across_processes(tmp_path):
     # cross-process determinism, including str-hash randomization
     import subprocess
