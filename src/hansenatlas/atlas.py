@@ -8,10 +8,11 @@ whose zero set in (0,1)^2 coincides with that of f_{m,k} away from the axes;
 the raw coefficient vanishes identically on e = 0 (for m != k) and a = 0,
 which would flood a sign-based tracer with boundary artifacts.
 
-Pipeline per mode: sign grid on [delta, 1-delta]^2, evaluated in row blocks
-of about GRID_BLOCK nodes that stay in cache, by sparse Horner (`PolyEval.at`,
-dense Horner's values without its zero steps) -> marching squares with
-per-edge bisection -> chained polylines (ZeroCurve) -> pairwise-proximity
+Pipeline per mode: sign grid on [delta, 1-delta]^2 (`PolyEval.grid_signs`:
+one matrix product per row block of about GRID_BLOCK nodes, with Horner's
+error bound from a second product on |C|; a sign inside the bound is taken
+from the exact value) -> marching squares with per-edge bisection on sparse
+Horner (`PolyEval.at`) -> chained polylines (ZeroCurve) -> pairwise-proximity
 seeds -> damped Newton in float per seed, on fhat with the float Horner of the
 exact derivative series as Jacobian -> dedupe of the converged points -> one
 exact residual check, polished if needed, per distinct point
@@ -48,7 +49,7 @@ EPS_CURVE = 1e-9
 RESIDUAL_TOL = 1e-12
 DEDUPE_TOL = 1e-6
 DEFAULT_GRID = 512
-GRID_BLOCK = 1 << 17  # grid nodes evaluated per call when a grid is sampled
+GRID_BLOCK = 1 << 15  # grid nodes per block; 2^17 trips OpenBLAS threading on 2 cores
 NEWTON_MAX_ITER = 50
 NEWTON_DAMPING = 0.5
 BISECT_ITER = 54
@@ -97,15 +98,7 @@ class PolyEval:
         cols = self._cols
         if not len(cols):
             return v
-        # R[i] is the a-Horner accumulator of column cols[i], shaped like `a`
-        Ce = self._Ce.reshape(self._Ce.shape + (1,) * a.ndim)
-        top = int(np.flatnonzero(self._nz_rows)[-1])
-        R = np.empty((len(cols),) + a.shape)
-        R[...] = Ce[top]
-        for n in range(top - 1, -1, -1):
-            R *= a
-            if self._nz_rows[n]:
-                R += Ce[n]
+        R = self._a_horner(self._Ce, a)
         v[...] = R[0]
         for i in range(1, len(cols)):
             for _ in range(cols[i - 1] - cols[i]):
@@ -114,6 +107,97 @@ class PolyEval:
         for _ in range(cols[-1]):
             v *= e
         return v
+
+    def _a_horner(self, Ce: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """R[i] = the a-Horner of column cols[i] of Ce (a copy of `_Ce` or of
+        its absolute values), shaped like `a`; from the top nonzero a-row down,
+        adding no zero row."""
+        Ce = Ce.reshape(Ce.shape + (1,) * a.ndim)
+        top = int(np.flatnonzero(self._nz_rows)[-1])
+        R = np.empty((len(self._cols),) + a.shape)
+        R[...] = Ce[top]
+        for n in range(top - 1, -1, -1):
+            R *= a
+            if self._nz_rows[n]:
+                R += Ce[n]
+        return R
+
+    def grid_signs(
+        self, a: np.ndarray, e: np.ndarray, series: SeriesAE
+    ) -> Tuple[np.ndarray, int]:
+        """(S, settled): S[i, j] is True where the exact value of `series` (the
+        series this evaluator was built from) at the float node (a[i], e[j]) is
+        positive, for 1-D axes with values in [0, 1]; `settled` counts the
+        nodes that the float bound could not decide and `eval_exact` did.
+
+        On the tensor grid p(a_i, e_j) = sum_q R_q(a_i) e_j^q, so a block of
+        about GRID_BLOCK nodes is one matrix product V = R[rows] @ E, with R
+        the a-Horner of the nonzero e-columns over the whole axis and
+        E[q, j] = e_j^q.  A second product, [gamma*|R|, 1] @ [E; mu] with |R|
+        the a-Horner on |C|, gives the bound T = gamma*B + mu.  A node with
+        |V| > T has the sign of V; any other node, NaN and inf included, is
+        evaluated exactly.
+
+        Why that sign is exact (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., ch. 3 and 5; u = 2^-53, gamma_k = ku/(1-ku)).
+        With N_a, N_e the top exponents present and m <= N_e + 1 columns, the
+        term c a^n e^q of V picks up at most k = 2N_a + 2N_e + 2 rounding
+        factors (1 + delta): 1 rounding c to double, 2N_a in the a-Horner,
+        N_e in the power e^q by repeated products and m in the product and
+        sum of the m column terms, in any order, fused or not.  So
+        |V - p| <= gamma_k M with M = sum |c| a^n e^q.  T sums nonnegative
+        terms, each with at most k + 3 factors (gamma itself, its product
+        with |R|, one more term in the sum), so T >= (1 - gamma_{k+3}) gamma M,
+        and gamma = gamma_{2k+4} makes that at least gamma_k M while
+        (k+3)u <= 1/4.  Underflow: a rounding that lands below
+        lambda = 2^-1022 adds an absolute error of at most u*lambda (a sum
+        that does is exact).  While every power e^q stays at least lambda,
+        each such error is afterwards only multiplied by factors a, e <= 1,
+        and fewer than 2^51 of them stay below lambda/2 in V and in T, which
+        mu = 2 lambda covers.  A column j whose top power falls below lambda
+        gets mu = inf, so its nodes are decided exactly.
+        """
+        a = np.asarray(a, dtype=float)
+        e = np.asarray(e, dtype=float)
+        S = np.zeros((len(a), len(e)), dtype=bool)
+        cols = self._cols
+        if not len(cols):
+            return S, 0
+        m = len(cols)
+        top_a = int(np.flatnonzero(self._nz_rows)[-1])
+        k = 2 * (top_a + int(cols[0]) + 1)
+        gamma = (2 * k + 4) * 2.0**-53 / (1.0 - (2 * k + 4) * 2.0**-53)
+        R = np.ascontiguousarray(self._a_horner(self._Ce, a).T)
+        Rb = np.ones((len(a), m + 1))
+        Rb[:, :m] = self._a_horner(np.abs(self._Ce), a).T
+        Rb[:, :m] *= gamma
+        powers = np.empty((int(cols[0]) + 1, len(e)))
+        powers[0] = 1.0
+        for q in range(1, len(powers)):
+            np.multiply(powers[q - 1], e, out=powers[q])
+        E = powers[cols]
+        tiny = np.finfo(float).tiny
+        Eb = np.vstack([E, np.where(E[0] >= tiny, 2.0 * tiny, np.inf)])
+        # one set of block buffers: fresh ones would fault in new pages per block
+        step = max(1, GRID_BLOCK // len(e))
+        V = np.empty((step, len(e)))
+        T = np.empty((step, len(e)))
+        sure = np.empty((step, len(e)), dtype=bool)
+        settled = 0
+        for i in range(0, len(a), step):
+            n = min(step, len(a) - i)
+            rows = slice(i, i + n)
+            np.matmul(R[rows], E, out=V[:n])
+            np.matmul(Rb[rows], Eb, out=T[:n])
+            np.greater(V[:n], 0.0, out=S[rows])
+            np.abs(V[:n], out=V[:n])
+            np.greater(V[:n], T[:n], out=sure[:n])
+            if sure[:n].all():
+                continue
+            for di, j in zip(*np.nonzero(~sure[:n])):
+                S[i + di, j] = series.eval_exact(float(a[i + di]), float(e[j])) > 0
+                settled += 1
+        return S, settled
 
     def at_point(self, a: float, e: float) -> float:
         """Pure-Python scalar Horner (same scheme as `at`, no array overhead).
@@ -258,23 +342,19 @@ def grid_axis(grid_n: int) -> np.ndarray:
     return np.linspace(delta, 1.0 - delta, grid_n)
 
 
-def _grid_blocks(surf, ax: np.ndarray):
-    """(rows, values) for consecutive row blocks of the grid ax x ax, with
-    values[i, j] = surf.normalized_at(ax[rows][i], ax[j]).  A block has about
-    GRID_BLOCK nodes, so its Horner passes stay in cache."""
-    step = max(1, GRID_BLOCK // len(ax))
-    for i in range(0, len(ax), step):
-        rows = slice(i, i + step)
-        yield rows, surf.normalized_at(ax[rows, None], ax[None, :])
-
-
 def eval_grid(mode: Mode, order: Tuple[int, int], grid_n: int = DEFAULT_GRID) -> np.ndarray:
-    """Normalized coefficient values on the uniform grid (rows: a, columns: e)."""
+    """Normalized coefficient values on the uniform grid (rows: a, columns: e),
+    by Horner in row blocks of about GRID_BLOCK nodes that stay in cache; each
+    value is `normalized_at`'s bit for bit."""
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
+    surf = ModeSurface(mode, order)
+    ax = grid_axis(grid_n)
     V = np.empty((grid_n, grid_n))
-    for rows, values in _grid_blocks(ModeSurface(mode, order), grid_axis(grid_n)):
-        V[rows] = values
+    step = max(1, GRID_BLOCK // grid_n)
+    for i in range(0, grid_n, step):
+        rows = slice(i, i + step)
+        V[rows] = surf.normalized_at(ax[rows, None], ax[None, :])
     return V
 
 
@@ -317,11 +397,13 @@ _CORNER_EDGES = {
 def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> List[ZeroCurve]:
     """Marching-squares zero curves of the normalized coefficient.
 
-    Each cell-edge sign change is refined by bisection to |fhat| <= eps, cell
-    segments are derived from the corner sign pattern (saddles resolved by the
-    cell-center value) and chained into open or closed polylines.  `surf` is a
-    ModeSurface or anything with mode/order attributes, visible() and a
-    broadcasting normalized_at(a, e).
+    The node signs are exact (`PolyEval.grid_signs`); each cell-edge sign
+    change is refined by bisection to |fhat| <= eps, cell segments are derived
+    from the corner sign pattern (saddles resolved by the cell-center value)
+    and chained into open or closed polylines.  `surf` is a ModeSurface or
+    anything with mode/order attributes, visible(), a broadcasting
+    normalized_at(a, e) whose sign is that of the raw coefficient, and the
+    coefficient as `series` with its `poly = PolyEval(series)`.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
@@ -329,9 +411,9 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     if not surf.visible():
         return []
     ax = grid_axis(grid_n)
-    S = np.empty((grid_n, grid_n), dtype=bool)
-    for rows, values in _grid_blocks(surf, ax):
-        S[rows] = values > 0.0
+    S, settled = surf.poly.grid_signs(ax, ax, surf.series)
+    if settled:
+        log.info("mode %s order %s: %d grid signs settled exactly", mode, order, settled)
 
     # edge ids: ("a", i, j) crosses between nodes (i,j)-(i+1,j);
     #           ("e", i, j) between (i,j)-(i,j+1)
@@ -850,6 +932,8 @@ def scan_modes(
     """
     if task not in ("curves", "double", "triple"):
         raise ValueError(f"unknown task {task!r}")
+    if order[0] < 0 or order[1] < 0:
+        raise ValueError(f"truncation orders must be non-negative, got {order}")
     if m_max is None:
         m_max = MMAX_TRIPLES if task == "triple" else MMAX_CURVES
     mode_list = list(modes) if modes is not None else g2_modes(m_max)

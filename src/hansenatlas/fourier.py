@@ -102,7 +102,7 @@ def _assemble(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
 
 
 def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
-    """Exact truncated f_{m,k}(a,e); requires m >= 0.
+    """Exact truncated f_{m,k}(a,e); requires m >= 0 and orders >= 0.
 
     Modes with m = 0 and k < 0 are folded onto f_{0,-k} = f_{0,k}.  When
     trunc_a < m* the mode is invisible at this order: the sum is empty (an
@@ -115,6 +115,8 @@ def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
         raise ValueError(
             f"fourier_coefficient needs m >= 0 (coprime-set convention), got {mode}"
         )
+    if trunc_a < 0 or trunc_e < 0:
+        raise ValueError(f"truncation orders must be non-negative, got ({trunc_a}, {trunc_e})")
     if mode.m == 0 and mode.k < 0:
         mode = Mode(0, -mode.k)
     if trunc_a < mode.m_star:

@@ -1,11 +1,12 @@
 """Certificates for traced zero-curve counts.
 
-A count from `trace_surface` rests on two floating-point decisions: the sign
-of the coefficient at every grid node, and the bisection of every edge
-crossing to |fhat| <= EPS_CURVE.  `grid_sign_margin` checks the first against
+A count from `trace_surface` rests on the sign of the coefficient at every
+grid node, which the tracer takes exactly, and on one floating-point
+decision: the bisection of every edge crossing to |fhat| <= EPS_CURVE.
+`grid_sign_margin` checks that float Horner alone settles the signs, by
 Horner's error bound (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., ch. 5); `dropped_crossings` counts failures of the
-second from the INFO record the tracer already emits.
+bisection from the INFO record the tracer already emits.
 """
 import contextlib
 import logging
@@ -20,11 +21,12 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 def grid_sign_margin(series: SeriesAE, grid_n: int) -> Tuple[int, float]:
-    """(unsettled, worst) for the node signs the tracer reads off `series`.
+    """(unsettled, worst) for the float Horner signs of `series` on the grid.
 
-    The tracer takes the sign at each node from `PolyEval.at` broadcast over
-    the grid: Horner in a (degree N_a), then in e (degree N_e), on
-    coefficients rounded to double.
+    The tracer's own signs are exact (`PolyEval.grid_signs` settles every
+    node inside its bound exactly); this is an independent check of the
+    signs of `PolyEval.at` broadcast over the grid: Horner in a (degree N_a),
+    then in e (degree N_e), on coefficients rounded to double.
     Its error is at most gamma_K * sum |c| a^n e^q with K = 2(N_a+N_e)+1; the
     bound used here takes k = K+4, which also covers evaluating the |c| series
     in floating point.  A node whose |value| does not exceed the bound counts

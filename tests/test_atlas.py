@@ -3,6 +3,7 @@
 Everything here runs at small orders/grids; the order-60 reproduction lives
 in the acceptance suite.
 """
+import logging
 import math
 from fractions import Fraction
 
@@ -160,6 +161,89 @@ def test_at_equals_dense_horner_property(series, points):
     assert_at_is_dense(poly, a[:, None], e[None, :])
 
 
+# -- certified sign grid ---------------------------------------------------------
+
+
+def test_grid_signs_match_horner_on_order20_surfaces():
+    # grid 600 leaves a short last block; no node is settled exactly here
+    ax = grid_axis(600)
+    assert 600 % (GRID_BLOCK // 600)
+    for mode in g2_modes(8):
+        for j in (1, 2, 3):
+            surf = ModeSurface(mode.multiple(j), (20, 20))
+            signs, settled = surf.poly.grid_signs(ax, ax, surf.series)
+            assert settled == 0
+            assert np.array_equal(signs, eval_grid(mode.multiple(j), (20, 20), 600) > 0)
+
+
+def test_grid_signs_settle_uncertain_nodes_exactly(monkeypatch):
+    # f_{9,15} at order 60 is the worst-conditioned surface of the scan: a few
+    # nodes fall inside Horner's bound and take the sign of the exact value
+    surf = ModeSurface(Mode(9, 15), (60, 60))
+    ax = grid_axis(512)
+    calls = []
+    exact = SeriesAE.eval_exact
+
+    def recorded(series, a, e):
+        calls.append((a, e))
+        return exact(series, a, e)
+
+    monkeypatch.setattr(SeriesAE, "eval_exact", recorded)
+    signs, settled = surf.poly.grid_signs(ax, ax, surf.series)
+    assert settled == len(calls) > 0
+    index = {float(x): i for i, x in enumerate(ax)}
+    for a, e in calls:
+        value = sum(
+            c * Fraction(a) ** n * Fraction(e) ** q for (n, q), c in surf.series.c.items()
+        )
+        assert signs[index[a], index[e]] == (value > 0)
+
+
+def test_grid_signs_exact_where_powers_underflow():
+    # p = 2^1023 e^300 - 2^-180 is positive on the grid, but at e = 1/16 the
+    # power e^300 = 2^-1200 underflows to 0 and the product reads -2^-180,
+    # far outside a bound without its absolute term; that column is decided
+    # exactly
+    ax = grid_axis(16)
+    series = SeriesAE({(0, 300): 2**1023, (0, 0): Fraction(-1, 2**180)}, 0, 300)
+    signs, settled = PolyEval(series).grid_signs(ax, ax, series)
+    assert signs.all()
+    assert settled == 16
+
+
+@st.composite
+def near_cancelling_series(draw):
+    """Random sparse integer series, optionally times a factor that vanishes
+    or nearly vanishes on grid nodes, scaled up, plus a small remainder."""
+    base = draw(sparse_int_series())
+    factor = draw(
+        st.sampled_from(
+            [
+                {(0, 0): 1},
+                {(1, 0): 1, (0, 1): -1},  # a - e: exactly 0 on the diagonal
+                {(2, 0): 1, (1, 1): -2, (0, 2): 1},  # (a - e)^2
+                {(1, 0): 1, (0, 1): 1, (0, 0): -1},  # a + e - 1: tiny on the anti-diagonal
+            ]
+        )
+    )
+    scale = draw(st.sampled_from([1, 2**20, 2**45]))
+    rest = draw(sparse_int_series())
+    return SeriesAE(base.c, 10, 10) * SeriesAE(factor, 10, 10).scaled(scale) + SeriesAE(
+        rest.c, 10, 10
+    )
+
+
+@given(near_cancelling_series(), st.integers(min_value=16, max_value=32))
+@settings(max_examples=60, deadline=None)
+def test_grid_signs_are_exact_property(series, grid_n):
+    ax = grid_axis(grid_n)
+    signs, _ = PolyEval(series).grid_signs(ax, ax, series)
+    want = np.array(
+        [[series.eval_exact(float(a), float(e)) > 0 for e in ax] for a in ax]
+    )
+    assert np.array_equal(signs, want)
+
+
 # -- tracing ------------------------------------------------------------------
 
 
@@ -241,6 +325,39 @@ def test_marching_squares_on_synthetic_circle():
     for (a, e) in curve.points:
         radius = math.hypot(a - 0.5, e - 0.5)
         assert radius == pytest.approx(0.25, abs=1e-9)
+
+
+def test_trace_logs_grid_signs_settled_exactly(caplog, monkeypatch):
+    # p = a - e: the product gives exactly 0 on the 64 diagonal nodes, inside
+    # any bound, so those are settled exactly (p = 0 there: not positive)
+    line = SeriesAE({(1, 0): 1, (0, 1): -1}, 1, 1)
+
+    class Surface:
+        mode = Mode(9, 9)
+        order = (1, 1)
+        series = line
+        poly = PolyEval(line)
+
+        def visible(self):
+            return True
+
+        def normalized_at(self, a, e):
+            return self.poly.at(a, e)
+
+    ax = grid_axis(64)
+    signs, settled = Surface.poly.grid_signs(ax, ax, line)
+    assert settled == 64
+    assert not signs[np.arange(64), np.arange(64)].any()
+    with caplog.at_level(logging.INFO, logger="hansenatlas.atlas"):
+        curves = trace_surface(Surface(), 64)
+    assert [r.getMessage() for r in caplog.records if "grid signs" in r.msg] == [
+        "mode (9,9) order (1, 1): 64 grid signs settled exactly"
+    ]
+    # the trace is the one that Horner's signs give
+    monkeypatch.setattr(
+        PolyEval, "grid_signs", lambda self, a, e, series: (self.at(a[:, None], e[None, :]) > 0, 0)
+    )
+    assert trace_surface(Surface(), 64) == curves
 
 
 def test_triangle_metrics_degenerate_and_regular():

@@ -160,6 +160,12 @@ def test_fourier_negative_m_usage_error(capsys):
     assert "first non-null" in err
 
 
+def test_fourier_negative_order_usage_error(capsys):
+    code, _, err = run(capsys, "fourier", "--m", "2", "--k", "2", "--order", "-3")
+    assert code == 2
+    assert "usage error: truncation orders must be non-negative" in err
+
+
 # -- tmk ------------------------------------------------------------------------
 
 
@@ -217,6 +223,18 @@ def test_zeros_unknown_format_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "'jsn'" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("orders", [("-1",), ("10", "--order-e", "-2")], ids=["a", "e"])
+def test_zeros_negative_order_usage_error(tmp_path, capsys, orders):
+    out_dir = tmp_path / "zz"
+    code, _, err = run(
+        capsys, "zeros", "--task", "curves", "--order", *orders, "--mmax", "2",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "usage error: truncation orders must be non-negative" in err
     assert not out_dir.exists()
 
 
