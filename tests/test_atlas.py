@@ -3,6 +3,7 @@
 Everything here runs at small orders/grids; the order-60 reproduction lives
 in the acceptance suite.
 """
+import itertools
 import logging
 import math
 from fractions import Fraction
@@ -247,6 +248,28 @@ def test_grid_signs_are_exact_property(series, grid_n):
 # -- tracing ------------------------------------------------------------------
 
 
+class PolynomialSurface:
+    """A synthetic surface for `trace_surface`: the polynomial itself, with no
+    normalization."""
+
+    mode = Mode(9, 9)
+
+    def __init__(self, series):
+        self.series = series
+        self.order = (series.trunc_a, series.trunc_e)
+        self.poly = PolyEval(series)
+
+    def visible(self):
+        return True
+
+    def normalized_at(self, a, e):
+        return self.poly.at(a, e)
+
+
+# (4(a-1/2))^2 + (4(e-1/2))^2 - 1 = 16a^2 - 16a + 16e^2 - 16e + 7
+CIRCLE = SeriesAE({(0, 0): 7, (1, 0): -16, (2, 0): 16, (0, 1): -16, (0, 2): 16}, 2, 2)
+
+
 def test_trace_single_monomial_empty():
     assert trace_surface(ModeSurface(Mode(1, 1), (3, 0)), 64) == []
 
@@ -299,25 +322,8 @@ def test_trace_1_m7_curve_vanishes_between_orders_20_and_30():
 
 
 def test_marching_squares_on_synthetic_circle():
-    # tracer core on a known implicit curve:
-    # (4(a-1/2))^2 + (4(e-1/2))^2 - 1 = 16a^2 - 16a + 16e^2 - 16e + 7
-    circle = SeriesAE(
-        {(0, 0): 7, (1, 0): -16, (2, 0): 16, (0, 1): -16, (0, 2): 16}, 2, 2
-    )
-
-    class Surface:
-        mode = Mode(9, 9)
-        order = (2, 2)
-        series = circle
-        poly = PolyEval(circle)
-
-        def visible(self):
-            return True
-
-        def normalized_at(self, a, e):
-            return self.poly.at(a, e)
-
-    curves = trace_surface(Surface(), 128, 1e-9)
+    # tracer core on a known implicit curve
+    curves = trace_surface(PolynomialSurface(CIRCLE), 128, 1e-9)
     assert len(curves) == 1
     (curve,) = curves
     assert curve.closed
@@ -331,25 +337,13 @@ def test_trace_logs_grid_signs_settled_exactly(caplog, monkeypatch):
     # p = a - e: the product gives exactly 0 on the 64 diagonal nodes, inside
     # any bound, so those are settled exactly (p = 0 there: not positive)
     line = SeriesAE({(1, 0): 1, (0, 1): -1}, 1, 1)
-
-    class Surface:
-        mode = Mode(9, 9)
-        order = (1, 1)
-        series = line
-        poly = PolyEval(line)
-
-        def visible(self):
-            return True
-
-        def normalized_at(self, a, e):
-            return self.poly.at(a, e)
-
+    surf = PolynomialSurface(line)
     ax = grid_axis(64)
-    signs, settled = Surface.poly.grid_signs(ax, ax, line)
+    signs, settled = surf.poly.grid_signs(ax, ax, line)
     assert settled == 64
     assert not signs[np.arange(64), np.arange(64)].any()
     with caplog.at_level(logging.INFO, logger="hansenatlas.atlas"):
-        curves = trace_surface(Surface(), 64)
+        curves = trace_surface(surf, 64)
     assert [r.getMessage() for r in caplog.records if "grid signs" in r.msg] == [
         "mode (9,9) order (1, 1): 64 grid signs settled exactly"
     ]
@@ -357,7 +351,204 @@ def test_trace_logs_grid_signs_settled_exactly(caplog, monkeypatch):
     monkeypatch.setattr(
         PolyEval, "grid_signs", lambda self, a, e, series: (self.at(a[:, None], e[None, :]) > 0, 0)
     )
-    assert trace_surface(Surface(), 64) == curves
+    assert trace_surface(surf, 64) == curves
+
+
+# -- the tracer against its per-cell loop -------------------------------------
+
+
+def _trace_reference(surf, grid_n, eps=atlas.EPS_CURVE):
+    """(curves, saddle cells) of the tracer as first written: a sorted loop
+    over the cells with a crossing, tuple edge keys, and the chaining of
+    `trace_surface`; on the same signs and the same `atlas._bisect_edges`."""
+    mode, order = surf.mode, surf.order
+    ax = grid_axis(grid_n)
+    S, _ = surf.poly.grid_signs(ax, ax, surf.series)
+    a_change = S[:-1, :] != S[1:, :]
+    e_change = S[:, :-1] != S[:, 1:]
+    ai, aj = np.nonzero(a_change)
+    ei, ej = np.nonzero(e_change)
+    if len(ai) == 0 and len(ei) == 0:
+        return [], 0
+
+    a_lo = np.concatenate([ax[ai], ax[ei]])
+    e_lo = np.concatenate([ax[aj], ax[ej]])
+    a_hi = np.concatenate([ax[ai + 1], ax[ei]])
+    e_hi = np.concatenate([ax[aj], ax[ej + 1]])
+    pa, pe, pv = atlas._bisect_edges(surf, a_lo, e_lo, a_hi, e_hi)
+
+    points = {}
+    ok = np.abs(pv) <= eps
+    n_a = len(ai)
+    for idx in range(len(pa)):
+        if not ok[idx]:
+            continue
+        if idx < n_a:
+            key = ("a", int(ai[idx]), int(aj[idx]))
+        else:
+            key = ("e", int(ei[idx - n_a]), int(ej[idx - n_a]))
+        points[key] = (float(pa[idx]), float(pe[idx]))
+
+    cells = set()
+    for i, j in zip(ai, aj):
+        if j > 0:
+            cells.add((int(i), int(j) - 1))
+        if j < grid_n - 1:
+            cells.add((int(i), int(j)))
+    for i, j in zip(ei, ej):
+        if i > 0:
+            cells.add((int(i) - 1, int(j)))
+        if i < grid_n - 1:
+            cells.add((int(i), int(j)))
+
+    def cell_edge_key(i, j, name):
+        if name == "B":
+            return ("a", i, j)
+        if name == "T":
+            return ("a", i, j + 1)
+        if name == "L":
+            return ("e", i, j)
+        return ("e", i + 1, j)
+
+    corner_edges = {
+        (0, 0): ("B", "L"),
+        (1, 0): ("B", "R"),
+        (0, 1): ("T", "L"),
+        (1, 1): ("T", "R"),
+    }
+    segments = []
+    saddle_cells = 0
+    for (i, j) in sorted(cells):
+        s00, s10 = S[i, j], S[i + 1, j]
+        s01, s11 = S[i, j + 1], S[i + 1, j + 1]
+        crossing = []
+        if s00 != s10:
+            crossing.append("B")
+        if s01 != s11:
+            crossing.append("T")
+        if s00 != s01:
+            crossing.append("L")
+        if s10 != s11:
+            crossing.append("R")
+        keys = {name: cell_edge_key(i, j, name) for name in crossing}
+        if any(keys[name] not in points for name in crossing):
+            continue
+        if len(crossing) == 2:
+            segments.append((keys[crossing[0]], keys[crossing[1]]))
+        elif len(crossing) == 4:
+            saddle_cells += 1
+            ac = 0.5 * (ax[i] + ax[i + 1])
+            ec = 0.5 * (ax[j] + ax[j + 1])
+            center_pos = surf.normalized_at(np.array([ac]), np.array([ec]))[0] > 0.0
+            corner_sign = {(0, 0): s00, (1, 0): s10, (0, 1): s01, (1, 1): s11}
+            for corner, (ea, eb) in corner_edges.items():
+                if corner_sign[corner] != center_pos:
+                    segments.append((cell_edge_key(i, j, ea), cell_edge_key(i, j, eb)))
+
+    adjacency = {}
+    for u, v in segments:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    for nbrs in adjacency.values():
+        nbrs.sort()
+
+    visited = set()
+    curves = []
+
+    def walk(start):
+        chain = [start]
+        visited.add(start)
+        cur, prev = start, None
+        while True:
+            nxt = None
+            for cand in adjacency[cur]:
+                if cand != prev and (cand not in visited or cand == start):
+                    nxt = cand
+                    break
+            if nxt is None or (nxt == start and len(chain) > 2):
+                return chain, nxt == start
+            if nxt in visited:
+                return chain, False
+            chain.append(nxt)
+            visited.add(nxt)
+            prev, cur = cur, nxt
+
+    endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
+    for start in endpoints:
+        if start not in visited:
+            chain, _ = walk(start)
+            curves.append(atlas.ZeroCurve(mode, order, tuple(points[k] for k in chain), False))
+    for start in sorted(adjacency):
+        if start not in visited:
+            chain, is_closed = walk(start)
+            curves.append(
+                atlas.ZeroCurve(mode, order, tuple(points[k] for k in chain), is_closed)
+            )
+    curves.sort(key=lambda c: c.points[0])
+    return curves, saddle_cells
+
+
+def trace_counting_saddles(surf, grid_n, eps=atlas.EPS_CURVE):
+    """(curves, saddle cells) of `trace_surface`, the count read from its INFO
+    record."""
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    atlas_log = logging.getLogger("hansenatlas.atlas")
+    level = atlas_log.level
+    atlas_log.setLevel(logging.INFO)
+    atlas_log.addHandler(handler)
+    try:
+        curves = trace_surface(surf, grid_n, eps)
+    finally:
+        atlas_log.removeHandler(handler)
+        atlas_log.setLevel(level)
+    saddles = (r.args[-1] for r in records if r.msg.endswith("saddle cells resolved by center value"))
+    return curves, sum(saddles)
+
+
+def assert_trace_is_reference(surf, grid_n, eps=atlas.EPS_CURVE):
+    """Returns the saddle cells, so that a test can show it reached some."""
+    got = trace_counting_saddles(surf, grid_n, eps)
+    assert got == _trace_reference(surf, grid_n, eps)
+    return got[1]
+
+
+@given(sparse_int_series(), st.integers(min_value=16, max_value=48))
+@settings(max_examples=300, deadline=None)
+def test_trace_equals_reference_property(series, grid_n):
+    assert_trace_is_reference(PolynomialSurface(series), grid_n)
+
+
+def test_trace_equals_reference_on_saddles():
+    # (a - x0)(e - y0) + delta has a saddle at (x0, y0) for delta = 0 and
+    # nearly one otherwise; x0 = y0 = 1/2 is the centre of a cell at even grids
+    deltas = (0, Fraction(1, 10**6), Fraction(-1, 10**6), Fraction(1, 10**3), Fraction(-1, 10**3))
+    centres = (
+        (Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 3), Fraction(3, 7)),
+        (Fraction(5, 8), Fraction(2, 9)),
+    )
+    saddles = 0
+    for delta, (x0, y0) in itertools.product(deltas, centres):
+        series = SeriesAE({(1, 1): 1, (1, 0): -y0, (0, 1): -x0, (0, 0): x0 * y0 + delta}, 1, 1)
+        for grid_n in range(16, 49):
+            saddles += assert_trace_is_reference(PolynomialSurface(series), grid_n)
+    assert saddles > 0
+
+
+def test_trace_equals_reference_on_circle():
+    assert_trace_is_reference(PolynomialSurface(CIRCLE), 128)
+
+
+@pytest.mark.parametrize(
+    "mode, order, eps, dropped",
+    [(Mode(2, -14), (60, 60), atlas.EPS_CURVE, 19), (Mode(1, -7), (20, 20), 1e-30, 105)],
+)
+def test_trace_equals_reference_where_crossings_drop(mode, order, eps, dropped):
+    with dropped_crossings() as counter:
+        assert_trace_is_reference(ModeSurface(mode, order), 128, eps)
+    assert counter.total == dropped
 
 
 def test_triangle_metrics_degenerate_and_regular():
