@@ -342,34 +342,19 @@ def grid_axis(grid_n: int) -> np.ndarray:
     return np.linspace(delta, 1.0 - delta, grid_n)
 
 
-def eval_grid(mode: Mode, order: Tuple[int, int], grid_n: int = DEFAULT_GRID) -> np.ndarray:
-    """Normalized coefficient values on the uniform grid (rows: a, columns: e),
-    by Horner in row blocks of about GRID_BLOCK nodes that stay in cache; each
-    value is `normalized_at`'s bit for bit."""
-    if grid_n < 16:
-        raise ValueError(f"grid_n must be at least 16, got {grid_n}")
-    surf = ModeSurface(mode, order)
-    ax = grid_axis(grid_n)
-    V = np.empty((grid_n, grid_n))
-    step = max(1, GRID_BLOCK // grid_n)
-    for i in range(0, grid_n, step):
-        rows = slice(i, i + step)
-        V[rows] = surf.normalized_at(ax[rows, None], ax[None, :])
-    return V
-
-
 def _bisect_edges(
     surf: ModeSurface,
     a_lo: np.ndarray,
     e_lo: np.ndarray,
     a_hi: np.ndarray,
     e_hi: np.ndarray,
+    neg_lo: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bisect f-hat along straight edges with a sign change; returns (a, e, value)."""
-    f_lo = surf.normalized_at(a_lo, e_lo)
+    """Bisect f-hat along straight edges with a sign change, `neg_lo` being
+    the grid's sign at the low ends (True: not positive); returns
+    (a, e, value)."""
     lo = np.zeros_like(a_lo)
     hi = np.ones_like(a_lo)
-    neg_lo = f_lo < 0
     for _ in range(BISECT_ITER):
         mid = 0.5 * (lo + hi)
         am = a_lo + mid * (a_hi - a_lo)
@@ -384,122 +369,106 @@ def _bisect_edges(
     return am, em, surf.normalized_at(am, em)
 
 
-_CORNER_EDGES = {
-    # corner -> (edge adjacent along a, edge adjacent along e); corners labelled
-    # by (da, de) offsets inside one cell
-    (0, 0): ("B", "L"),
-    (1, 0): ("B", "R"),
-    (0, 1): ("T", "L"),
-    (1, 1): ("T", "R"),
-}
+# Marching-squares cases (Lorensen & Cline, SIGGRAPH 1987).  A cell's corner
+# pattern s00 | s10<<1 | s01<<2 | s11<<3 picks its row: the crossing edges as
+# the segment's ends, 0 bottom (a-edge at j), 1 top (a-edge at j+1), 2 left
+# (e-edge at i), 3 right (e-edge at i+1).  The saddles 6 and 9 have a second
+# segment and are drawn as for a positive centre; a negative centre takes the
+# row of the complement pattern.
+_CASES = np.array(
+    [
+        [-1, -1, -1, -1],
+        [0, 2, -1, -1],
+        [0, 3, -1, -1],
+        [2, 3, -1, -1],
+        [1, 2, -1, -1],
+        [0, 1, -1, -1],
+        [0, 2, 1, 3],
+        [1, 3, -1, -1],
+        [1, 3, -1, -1],
+        [0, 3, 1, 2],
+        [0, 1, -1, -1],
+        [1, 2, -1, -1],
+        [2, 3, -1, -1],
+        [0, 3, -1, -1],
+        [0, 2, -1, -1],
+        [-1, -1, -1, -1],
+    ]
+)
 
 
 def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> List[ZeroCurve]:
     """Marching-squares zero curves of the normalized coefficient.
 
-    The node signs are exact (`PolyEval.grid_signs`); each cell-edge sign
-    change is refined by bisection to |fhat| <= eps, cell segments are derived
-    from the corner sign pattern (saddles resolved by the cell-center value)
-    and chained into open or closed polylines.  `surf` is a ModeSurface or
-    anything with mode/order attributes, visible(), a broadcasting
-    normalized_at(a, e) whose sign is that of the raw coefficient, and the
-    coefficient as `series` with its `poly = PolyEval(series)`.
+    The node signs S are exact (`PolyEval.grid_signs`); each grid edge whose
+    end signs differ is bisected to |fhat| <= eps from the signs S gives its
+    ends.  An edge is an int: i*n + j joins the nodes (i, j)-(i+1, j) and
+    n^2 + i*n + j the nodes (i, j)-(i, j+1), so ids sort like the tuples
+    ("a", i, j) < ("e", i, j).  Each cell's corner pattern selects its
+    segments from `_CASES` (saddles by the sign of fhat at the cell centre);
+    a cell with a crossing left above eps is skipped.  The segments are
+    chained into open or closed polylines, from the sorted endpoints along
+    sorted neighbours.  `surf` is a ModeSurface or anything with mode/order
+    attributes, visible(), a broadcasting normalized_at(a, e) whose sign is
+    that of the raw coefficient, and the coefficient as `series` with its
+    `poly = PolyEval(series)`.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
     mode, order = surf.mode, surf.order
     if not surf.visible():
         return []
-    ax = grid_axis(grid_n)
+    n = grid_n
+    ax = grid_axis(n)
     S, settled = surf.poly.grid_signs(ax, ax, surf.series)
     if settled:
         log.info("mode %s order %s: %d grid signs settled exactly", mode, order, settled)
 
-    # edge ids: ("a", i, j) crosses between nodes (i,j)-(i+1,j);
-    #           ("e", i, j) between (i,j)-(i,j+1)
-    a_change = S[:-1, :] != S[1:, :]
-    e_change = S[:, :-1] != S[:, 1:]
-    ai, aj = np.nonzero(a_change)
-    ei, ej = np.nonzero(e_change)
-    if len(ai) == 0 and len(ei) == 0:
+    # corner pattern of every cell, by doubling on the bytes of S: a bool
+    # operand would promote to int64, and numpy runs a uint8 shift slower
+    bits = S.view(np.uint8)
+    case = bits[1:, 1:] * 2
+    case += bits[:-1, 1:]
+    case *= 2
+    case += bits[1:, :-1]
+    case *= 2
+    case += bits[:-1, :-1]
+    case -= 1  # patterns 0 and 15, the cells with no crossing, go to 255 and 14
+    cells = np.flatnonzero(case < 14)
+    if not len(cells):
         return []
+    case = case.ravel()[cells] + 1
+    ci, cj = np.divmod(cells, n - 1)
+    saddle = np.flatnonzero((case == 6) | (case == 9))
+    si, sj = ci[saddle], cj[saddle]
+    centre = surf.normalized_at(0.5 * (ax[si] + ax[si + 1]), 0.5 * (ax[sj] + ax[sj + 1]))
+    case[saddle[~(centre > 0.0)]] ^= 15
 
-    a_lo = np.concatenate([ax[ai], ax[ei]])
-    e_lo = np.concatenate([ax[aj], ax[ej]])
-    a_hi = np.concatenate([ax[ai + 1], ax[ei]])
-    e_hi = np.concatenate([ax[aj], ax[ej + 1]])
-    pa, pe, pv = _bisect_edges(surf, a_lo, e_lo, a_hi, e_hi)
-
-    points: Dict[Tuple[str, int, int], Tuple[float, float]] = {}
+    offsets = np.array([0, 1, n * n, n * n + n])
+    base = ci * n + cj
+    first = base[:, None] + offsets[_CASES[case, :2]]
+    second = base[saddle, None] + offsets[_CASES[case[saddle], 2:]]
+    # every crossing edge borders a crossing cell, which lists it
+    ids = np.unique(np.concatenate([first.ravel(), second.ravel()]))
+    on_e = ids >= n * n
+    i, j = np.divmod(ids % (n * n), n)
+    pa, pe, pv = _bisect_edges(
+        surf, ax[i], ax[j], ax[np.where(on_e, i, i + 1)], ax[np.where(on_e, j + 1, j)], ~S[i, j]
+    )
     ok = np.abs(pv) <= eps
-    n_a = len(ai)
-    for idx in range(len(pa)):
-        if not ok[idx]:
-            continue
-        if idx < n_a:
-            key = ("a", int(ai[idx]), int(aj[idx]))
-        else:
-            key = ("e", int(ei[idx - n_a]), int(ej[idx - n_a]))
-        points[key] = (float(pa[idx]), float(pe[idx]))
-    dropped = int(len(pa) - ok.sum())
+    dropped = int(len(ok) - ok.sum())
     if dropped:
         log.info("mode %s order %s: %d edge crossings above eps dropped", mode, order, dropped)
 
-    # cells with any crossing edge
-    cells = set()
-    for i, j in zip(ai, aj):
-        if j > 0:
-            cells.add((int(i), int(j) - 1))
-        if j < grid_n - 1:
-            cells.add((int(i), int(j)))
-    for i, j in zip(ei, ej):
-        if i > 0:
-            cells.add((int(i) - 1, int(j)))
-        if i < grid_n - 1:
-            cells.add((int(i), int(j)))
-
-    def cell_edge_key(i: int, j: int, name: str) -> Tuple[str, int, int]:
-        if name == "B":
-            return ("a", i, j)
-        if name == "T":
-            return ("a", i, j + 1)
-        if name == "L":
-            return ("e", i, j)
-        return ("e", i + 1, j)
-
-    segments: List[Tuple[Tuple[str, int, int], Tuple[str, int, int]]] = []
-    saddle_cells = 0
-    for (i, j) in sorted(cells):
-        s00, s10 = S[i, j], S[i + 1, j]
-        s01, s11 = S[i, j + 1], S[i + 1, j + 1]
-        crossing = []
-        if s00 != s10:
-            crossing.append("B")
-        if s01 != s11:
-            crossing.append("T")
-        if s00 != s01:
-            crossing.append("L")
-        if s10 != s11:
-            crossing.append("R")
-        keys = {name: cell_edge_key(i, j, name) for name in crossing}
-        if any(keys[name] not in points for name in crossing):
-            continue
-        if len(crossing) == 2:
-            segments.append((keys[crossing[0]], keys[crossing[1]]))
-        elif len(crossing) == 4:
-            saddle_cells += 1
-            ac = 0.5 * (ax[i] + ax[i + 1])
-            ec = 0.5 * (ax[j] + ax[j + 1])
-            center_pos = surf.normalized_at(np.array([ac]), np.array([ec]))[0] > 0.0
-            corner_sign = {(0, 0): s00, (1, 0): s10, (0, 1): s01, (1, 1): s11}
-            for corner, (ea, eb) in _CORNER_EDGES.items():
-                if corner_sign[corner] != center_pos:
-                    segments.append((cell_edge_key(i, j, ea), cell_edge_key(i, j, eb)))
+    kept = ok[np.searchsorted(ids, first)].all(axis=1)
+    kept[saddle] &= ok[np.searchsorted(ids, second)].all(axis=1)
+    saddle_cells = int(kept[saddle].sum())
     if saddle_cells:
         log.info("mode %s order %s: %d saddle cells resolved by center value", mode, order, saddle_cells)
+    segments = np.concatenate([first[kept], second[kept[saddle]]]).tolist()
 
-    # chain segments into polylines
-    adjacency: Dict[Tuple[str, int, int], List[Tuple[str, int, int]]] = {}
+    points = dict(zip(ids[ok].tolist(), zip(pa[ok].tolist(), pe[ok].tolist())))
+    adjacency: Dict[int, List[int]] = {}
     for u, v in segments:
         adjacency.setdefault(u, []).append(v)
         adjacency.setdefault(v, []).append(u)
@@ -509,7 +478,7 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     visited = set()
     curves: List[ZeroCurve] = []
 
-    def walk(start: Tuple[str, int, int]) -> Tuple[List[Tuple[str, int, int]], bool]:
+    def walk(start: int) -> Tuple[List[int], bool]:
         chain = [start]
         visited.add(start)
         cur, prev = start, None
