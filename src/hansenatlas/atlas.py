@@ -11,8 +11,10 @@ which would flood a sign-based tracer with boundary artifacts.
 Pipeline per mode: sign grid on [delta, 1-delta]^2 (`PolyEval.grid_signs`:
 one matrix product per row block of about GRID_BLOCK nodes, with Horner's
 error bound from a second product on |C|; a sign inside the bound is taken
-from the exact value) -> marching squares with per-edge bisection on sparse
-Horner (`PolyEval.at`) -> chained polylines (ZeroCurve) -> pairwise-proximity
+from the exact value) -> marching squares on arrays (each cell's corner
+pattern picks its segments from a 16-row case table; edges are integer ids)
+with per-edge bisection on sparse Horner (`PolyEval.at`), started from the
+grid's signs -> chained polylines (ZeroCurve) -> pairwise-proximity
 seeds -> damped Newton in float per seed, on fhat with the float Horner of the
 exact derivative series as Jacobian -> dedupe of the converged points -> one
 exact residual check, polished if needed, per distinct point
@@ -332,7 +334,7 @@ class TripleZeroCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Grid evaluation and marching squares
+# Marching squares
 # ---------------------------------------------------------------------------
 
 
@@ -400,14 +402,14 @@ _CASES = np.array(
 def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> List[ZeroCurve]:
     """Marching-squares zero curves of the normalized coefficient.
 
-    The node signs S are exact (`PolyEval.grid_signs`); each grid edge whose
-    end signs differ is bisected to |fhat| <= eps from the signs S gives its
-    ends.  An edge is an int: i*n + j joins the nodes (i, j)-(i+1, j) and
-    n^2 + i*n + j the nodes (i, j)-(i, j+1), so ids sort like the tuples
-    ("a", i, j) < ("e", i, j).  Each cell's corner pattern selects its
-    segments from `_CASES` (saddles by the sign of fhat at the cell centre);
-    a cell with a crossing left above eps is skipped.  The segments are
-    chained into open or closed polylines, from the sorted endpoints along
+    The node signs S are exact (`PolyEval.grid_signs`).  Each cell's corner
+    pattern picks its segments from `_CASES`, a saddle's by the sign of fhat
+    at the cell centre.  An edge is an int: i*n + j joins the nodes
+    (i, j)-(i+1, j) and n^2 + i*n + j the nodes (i, j)-(i, j+1), so ids sort
+    by direction (a before e), then i, then j.  Every edge whose end signs
+    differ is bisected to |fhat| <= eps, starting from its signs in S; a
+    cell with a crossing left above eps is skipped.  The segments are
+    chained into open or closed polylines from the sorted endpoints along
     sorted neighbours.  `surf` is a ModeSurface or anything with mode/order
     attributes, visible(), a broadcasting normalized_at(a, e) whose sign is
     that of the raw coefficient, and the coefficient as `series` with its
@@ -448,13 +450,13 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     base = ci * n + cj
     first = base[:, None] + offsets[_CASES[case, :2]]
     second = base[saddle, None] + offsets[_CASES[case[saddle], 2:]]
-    # every crossing edge borders a crossing cell, which lists it
-    ids = np.unique(np.concatenate([first.ravel(), second.ravel()]))
-    on_e = ids >= n * n
-    i, j = np.divmod(ids % (n * n), n)
-    pa, pe, pv = _bisect_edges(
-        surf, ax[i], ax[j], ax[np.where(on_e, i, i + 1)], ax[np.where(on_e, j + 1, j)], ~S[i, j]
-    )
+    # the crossing edges, in id order
+    ai, aj = np.divmod(np.flatnonzero(S[:-1] != S[1:]), n)
+    ei, ej = np.divmod(np.flatnonzero(S[:, :-1] != S[:, 1:]), n - 1)
+    ids = np.concatenate([ai * n + aj, n * n + ei * n + ej])
+    i, j = np.concatenate([ai, ei]), np.concatenate([aj, ej])
+    i_hi, j_hi = np.concatenate([ai + 1, ei]), np.concatenate([aj, ej + 1])
+    pa, pe, pv = _bisect_edges(surf, ax[i], ax[j], ax[i_hi], ax[j_hi], ~S[i, j])
     ok = np.abs(pv) <= eps
     dropped = int(len(ok) - ok.sum())
     if dropped:

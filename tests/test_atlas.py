@@ -545,6 +545,7 @@ def test_trace_equals_reference_on_circle():
 @pytest.mark.parametrize(
     "mode, order, eps, dropped",
     [(Mode(2, -14), (60, 60), atlas.EPS_CURVE, 19), (Mode(1, -7), (20, 20), 1e-30, 105)],
+    ids=["2,-14-order60", "1,-7-order20-eps1e-30"],
 )
 def test_trace_equals_reference_where_crossings_drop(mode, order, eps, dropped):
     with dropped_crossings() as counter:
