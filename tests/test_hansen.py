@@ -22,7 +22,7 @@ from hansenatlas.hansen import (
     hansen_table,
     hansen_wnuk,
 )
-from hansenatlas.series import SeriesE, beta_series, sqrt_one_minus_e2
+from hansenatlas.series import SeriesE, sqrt_one_minus_e2
 
 
 def S(coeffs, trunc):
@@ -91,10 +91,14 @@ def test_k0_negative_unit_exponent():
 
 
 def test_k0_negative_n0_beta_powers():
-    # X_0^{-1,m} = (-beta)^m
-    beta = beta_series(9)
-    assert hansen_k0_negative(0, 1, 9) == -beta
-    assert hansen_k0_negative(0, 2, 9) == beta * beta
+    # X_0^{-1,m} = (-beta)^m with beta (1 + sqrt(1-e^2)) = e
+    for trunc in (0, 1, 2, 9, 30):
+        minus_beta = hansen_k0_negative(0, 1, trunc)
+        assert minus_beta * (SeriesE.one(trunc) + sqrt_one_minus_e2(trunc)) == S({1: -1}, trunc)
+        power = SeriesE.one(trunc)
+        for m in range(trunc + 3):
+            assert hansen_k0_negative(0, m, trunc) == power, (trunc, m)
+            power = power * minus_beta
 
 
 def test_k0_negative_empty_sum_is_zero():
