@@ -69,8 +69,6 @@ class PolyEval:
     """Double-precision Horner evaluation (in a, then in e) of a SeriesAE."""
 
     def __init__(self, series: SeriesAE):
-        self.trunc_a = series.trunc_a
-        self.trunc_e = series.trunc_e
         C = np.zeros((series.trunc_a + 1, series.trunc_e + 1))
         for (n, q), v in series.c.items():
             C[n, q] = float(v)
@@ -80,7 +78,11 @@ class PolyEval:
         self._cols = np.flatnonzero(C.any(axis=0))[::-1]
         self._Ce = np.ascontiguousarray(C[:, self._cols])
         self._nz_rows = C.any(axis=1)
-        self._rows = None
+        # `series.horner_rows()` in floats, for `at_point`
+        self._rows = [
+            (n, lo, step2, [float(c) for c in coeffs])
+            for n, lo, _, step2, coeffs in series.horner_rows()
+        ]
 
     def at(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Values p(a, e) with `a` and `e` broadcast against each other: paired
@@ -207,13 +209,10 @@ class PolyEval:
         Rows exploit the parity gaps: per a-exponent n, the e-coefficients are
         stored from their lowest exponent with step 2 and evaluated in e^2.
         """
-        rows = self._rows
-        if rows is None:
-            rows = self._build_rows()
         e2 = e * e
         acc = 0.0
         prev_n = None
-        for n, qlow, step2, coeffs in rows:
+        for n, qlow, step2, coeffs in self._rows:
             if prev_n is not None:
                 acc *= a ** (prev_n - n)
             inner = 0.0
@@ -225,25 +224,6 @@ class PolyEval:
         if prev_n is None:
             return 0.0
         return acc * a**prev_n
-
-    def _build_rows(self):
-        by_n: Dict[int, Dict[int, float]] = {}
-        for n in range(self.trunc_a + 1):
-            row = self.C[n]
-            nz = np.nonzero(row)[0]
-            if len(nz):
-                by_n[n] = {int(q): float(row[q]) for q in nz}
-        rows = []
-        for n in sorted(by_n, reverse=True):
-            row = by_n[n]
-            qlow = min(row)
-            qhigh = max(row)
-            step2 = all((q - qlow) % 2 == 0 for q in row)
-            step = 2 if step2 else 1
-            coeffs = [row.get(q, 0.0) for q in range(qhigh, qlow - 1, -step)]
-            rows.append((n, qlow, step2, coeffs))
-        self._rows = rows
-        return rows
 
 
 class ModeSurface:
@@ -498,19 +478,21 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
             visited.add(nxt)
             prev, cur = cur, nxt
 
+    def polyline(chain: List[int], closed: bool) -> ZeroCurve:
+        # a zero on a grid node is the crossing of every edge that ends there
+        pts = [points[k] for k in chain]
+        pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+        if closed and len(pts) > 1 and pts[-1] == pts[0]:
+            pts.pop()
+        return ZeroCurve(mode, order, tuple(pts), closed)
+
     endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
     for start in endpoints:
         if start not in visited:
-            chain, _ = walk(start)
-            curves.append(
-                ZeroCurve(mode, order, tuple(points[k] for k in chain), False)
-            )
+            curves.append(polyline(walk(start)[0], False))
     for start in sorted(adjacency):
         if start not in visited:
-            chain, is_closed = walk(start)
-            curves.append(
-                ZeroCurve(mode, order, tuple(points[k] for k in chain), is_closed)
-            )
+            curves.append(polyline(*walk(start)))
     curves.sort(key=lambda c: c.points[0])
     return curves
 

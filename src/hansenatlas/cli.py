@@ -64,10 +64,13 @@ _BOOLEAN_WORDS = {
 
 
 def _parse_range(text: str) -> List[int]:
-    """'0..15' -> [0,...,15]; '4' -> [4]."""
+    """'0..15' -> [0,...,15]; '4' -> [4]; an empty range like '5..3' is an error."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(text)]
 
 

@@ -33,7 +33,7 @@ from .exact import (
     pochhammer,
     rational,
 )
-from .series import SeriesE, beta_series, sqrt_one_minus_e2
+from .series import SeriesE, sqrt_one_minus_e2
 
 log = logging.getLogger("hansenatlas.hansen")
 
@@ -140,14 +140,22 @@ def hansen_k0_negative(n: int, m: int, trunc: int) -> SeriesE:
     For n >= 1:
         (1-e^2)^{-(2n-1)/2} sum_{j=0}^{[(n-m-1)/2]} C(n-1, 2j+m) C(2j+m, j) (e/2)^{2j+m},
     an exactly-zero series when m > n-1.  For n = 0 the radius power is a/r and
-    X_0^{-1,m} = (-beta)^m with beta = e/(1+sqrt(1-e^2)), in particular 1 for m = 0.
-    Validated against the quadrature oracle only.
+    X_0^{-1,m} = (-beta)^m with beta = e/(1+sqrt(1-e^2)), in particular 1 for m = 0;
+    its powers come from Wnuk's workspace, beta^m = sum_i P_i (e/2)^{m+2i} with
+    integer P_i.  Validated against the quadrature oracle only.
     """
     if n < 0 or m < 0:
         raise ValueError("negative-exponent route requires n >= 0 and m >= 0")
     if n == 0:
-        b = beta_series(trunc).pow_int(m) if m else SeriesE.one(trunc)
-        return b if m % 2 == 0 else -b
+        if m > trunc:
+            return SeriesE.zero(trunc)
+        sign = -1 if m % 2 else 1
+        coeffs = {
+            m + 2 * i: rational(sign * p, 1 << (m + 2 * i))
+            for i, p in enumerate(_workspace(trunc).beta_pows[m])
+            if p
+        }
+        return SeriesE(coeffs, trunc, _raw=True)
     top = (n - m - 1) // 2
     if top < 0:
         return SeriesE.zero(trunc)

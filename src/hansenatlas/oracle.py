@@ -46,14 +46,12 @@ class OrbitPoint:
 
 
 def solve_kepler(ell: float, e: float) -> OrbitPoint:
-    """Solve u - e sin u = ell by Newton from u0 = ell, bisection on stall."""
+    """Solve u - e sin u = ell at one point, by `_kepler` on ell reduced to [0, 2pi)."""
     if not 0.0 <= e < 1.0:
         raise DomainError(f"eccentricity must lie in [0,1), got {e}")
     two_pi = 2.0 * math.pi
     shift = math.floor(ell / two_pi) * two_pi
-    ell_red = ell - shift
-    u = _kepler_reduced(ell_red, e)
-    u += shift
+    u = float(_kepler(np.array([ell - shift]), e)[0]) + shift
     r_over_a = 1.0 - e * math.cos(u)
     f = math.atan2(
         math.sqrt(1.0 - e * e) * math.sin(u) / r_over_a,
@@ -62,26 +60,32 @@ def solve_kepler(ell: float, e: float) -> OrbitPoint:
     return OrbitPoint(ell=ell, u=u, r_over_a=r_over_a, f=f, e=e)
 
 
-def _kepler_reduced(ell: float, e: float) -> float:
-    u = ell
-    for _ in range(60):
-        g = u - e * math.sin(u) - ell
-        if abs(g) <= KEPLER_TOL:
+def _kepler(ell: np.ndarray, e: float) -> np.ndarray:
+    """u with u - e sin u = ell elementwise: Newton from u0 = ell until every
+    residual is at most KEPLER_TOL or 80 steps are taken, then bisection on
+    [ell-e, ell+e], which brackets the root, for the points Newton left above
+    it (it can diverge at high e)."""
+    u = ell.copy()
+    for _ in range(80):
+        g = u - e * np.sin(u) - ell
+        if np.max(np.abs(g)) <= KEPLER_TOL:
             return u
-        u -= g / (1.0 - e * math.cos(u))
-    # Newton stalled (can happen near u = 0 at high e): bisect on [ell-e, ell+e]
-    lo, hi = ell - e, ell + e
-    glo = lo - e * math.sin(lo) - ell
+        u -= g / (1.0 - e * np.cos(u))
+    stalled = ~(np.abs(u - e * np.sin(u) - ell) <= KEPLER_TOL)
+    ell_s = ell[stalled]
+    lo, hi = ell_s - e, ell_s + e
+    glo = lo - e * np.sin(lo) - ell_s
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        gm = mid - e * math.sin(mid) - ell
-        if abs(gm) <= KEPLER_TOL:
-            return mid
-        if (gm < 0) == (glo < 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        gm = mid - e * np.sin(mid) - ell_s
+        if np.max(np.abs(gm)) <= KEPLER_TOL:
+            break
+        left = (gm < 0) == (glo < 0)
+        lo = np.where(left, mid, lo)
+        glo = np.where(left, gm, glo)
+        hi = np.where(left, hi, mid)
+    u[stalled] = mid
+    return u
 
 
 def kepler_grid(e: float, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,13 +95,10 @@ def kepler_grid(e: float, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     if not 0.0 <= e < 1.0:
         raise DomainError(f"eccentricity must lie in [0,1), got {e}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ell = np.arange(samples) * (2.0 * math.pi / samples)
-    u = ell.copy()
-    for _ in range(80):
-        g = u - e * np.sin(u) - ell
-        if np.max(np.abs(g)) <= KEPLER_TOL:
-            break
-        u -= g / (1.0 - e * np.cos(u))
+    u = _kepler(ell, e)
     r_over_a = 1.0 - e * np.cos(u)
     return ell, u, r_over_a
 

@@ -7,19 +7,18 @@ and are immutable after construction: all arithmetic returns new values.
 `SeriesAE.eval_exact` keeps its integer-scaled coefficients on the series the
 first time it runs.
 
-Products are exact truncated products; a mixed-order product takes the
-minimum of each truncation bound.  Division requires a divisor with non-zero
-constant term and proceeds by long division on the truncated coefficients.
-Evaluation here is exact; double-precision values come from `atlas.PolyEval`.
+SeriesE has the ring operations that the k = 0 recursions need; a
+mixed-order product takes the minimum of each truncation bound.  SeriesAE has
+no arithmetic: it is built whole by `fourier`, truncated and differentiated.
+Evaluation here is exact; double-precision values come from `atlas.PolyEval`,
+which reads the same Horner rows (`SeriesAE.horner_rows`) as `eval_exact`.
 """
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .exact import Rational, RationalLike, ZERO, binomial_rational, rational, rational_str
-
-_TERM_SEP = " + "
 
 
 def _clean(coeffs: Dict) -> None:
@@ -56,10 +55,6 @@ class SeriesE:
     @staticmethod
     def one(trunc: int) -> "SeriesE":
         return SeriesE({0: rational(1)}, trunc)
-
-    @staticmethod
-    def monomial(coeff: RationalLike, q: int, trunc: int) -> "SeriesE":
-        return SeriesE({q: coeff}, trunc)
 
     # -- inspection --------------------------------------------------------
 
@@ -159,43 +154,6 @@ class SeriesE:
             raise ValueError("series is not divisible by e")
         return self.shifted(-1)
 
-    # -- division ------------------------------------------------------------
-
-    def inverse(self) -> "SeriesE":
-        """Multiplicative inverse by long division; needs a non-zero constant term."""
-        a0 = self.c.get(0)
-        if not a0:
-            raise ZeroDivisionError("series inverse requires a non-zero constant term")
-        inv0 = 1 / a0
-        out: Dict[int, Rational] = {0: inv0}
-        for q in range(1, self.trunc + 1):
-            s = 0
-            for j, aj in self.c.items():
-                if 0 < j <= q:
-                    bk = out.get(q - j)
-                    if bk is not None:
-                        s += aj * bk
-            if s != 0:
-                out[q] = -inv0 * s
-        return SeriesE(out, self.trunc, _raw=True)
-
-    def __truediv__(self, other):
-        if isinstance(other, SeriesE):
-            return self * other.inverse()
-        return self.scaled(1 / rational(other))
-
-    def pow_int(self, p: int) -> "SeriesE":
-        """Integer power; negative p inverts first."""
-        base = self.inverse() if p < 0 else self
-        p = abs(p)
-        result = SeriesE.one(self.trunc)
-        while p:
-            if p & 1:
-                result = result * base
-            base = base * base if p > 1 else base
-            p >>= 1
-        return result
-
     # -- evaluation ----------------------------------------------------------
 
     def eval_exact(self, e: RationalLike) -> Rational:
@@ -207,27 +165,6 @@ class SeriesE:
             if v is not None:
                 acc += v
         return acc
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Canonical text: terms sorted by exponent, each `num/den * e^q`."""
-        if not self.c:
-            return "0"
-        return _TERM_SEP.join(
-            f"{rational_str(v)} * e^{q}" for q, v in sorted(self.c.items())
-        )
-
-    @staticmethod
-    def from_text(text: str, trunc: int) -> "SeriesE":
-        text = text.strip()
-        if text == "0":
-            return SeriesE.zero(trunc)
-        coeffs: Dict[int, Rational] = {}
-        for term in text.split(_TERM_SEP):
-            num, _, power = term.partition(" * e^")
-            coeffs[int(power)] = rational(num.strip())
-        return SeriesE(coeffs, trunc)
 
     def pretty(self, var: str = "e") -> str:
         """Human form, e.g. "5/2 e^2" or "-e + 1/8 e^3"."""
@@ -291,56 +228,6 @@ class SeriesAE:
 
     def terms(self) -> Iterable[Tuple[Tuple[int, int], Rational]]:
         return sorted(self.c.items())
-
-    def __neg__(self) -> "SeriesAE":
-        return SeriesAE(
-            {k: -v for k, v in self.c.items()}, self.trunc_a, self.trunc_e, _raw=True
-        )
-
-    def __add__(self, other: "SeriesAE") -> "SeriesAE":
-        if not isinstance(other, SeriesAE):
-            return NotImplemented
-        ta = min(self.trunc_a, other.trunc_a)
-        te = min(self.trunc_e, other.trunc_e)
-        out = {k: v for k, v in self.c.items() if k[0] <= ta and k[1] <= te}
-        for k, v in other.c.items():
-            if k[0] <= ta and k[1] <= te:
-                s = out.get(k, 0) + v
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return SeriesAE(out, ta, te, _raw=True)
-
-    def __sub__(self, other: "SeriesAE") -> "SeriesAE":
-        if not isinstance(other, SeriesAE):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SeriesAE):
-            ta = min(self.trunc_a, other.trunc_a)
-            te = min(self.trunc_e, other.trunc_e)
-            out: Dict[Tuple[int, int], Rational] = {}
-            for (n1, q1), c1 in self.c.items():
-                for (n2, q2), c2 in other.c.items():
-                    n, q = n1 + n2, q1 + q2
-                    if n <= ta and q <= te:
-                        out[(n, q)] = out.get((n, q), 0) + c1 * c2
-            _clean(out)
-            return SeriesAE(out, ta, te, _raw=True)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def scaled(self, scalar: RationalLike) -> "SeriesAE":
-        s = rational(scalar)
-        if s == 0:
-            return SeriesAE.zero(self.trunc_a, self.trunc_e)
-        return SeriesAE(
-            {k: v * s for k, v in self.c.items()}, self.trunc_a, self.trunc_e, _raw=True
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesAE):
@@ -414,43 +301,32 @@ class SeriesAE:
             prev_n = n
         return Rational(acc * A**prev_n, den * Da**n_top * De**ne)
 
-    def _scaled_rows(self):
-        """(D, Ne, rows): per a-exponent n, descending, (n, lowest q, highest q,
-        step-2 flag, integer coefficients from the highest q down)."""
-        if not self.c:
-            return 1, 0, []
-        den = math.lcm(*(v.denominator for v in self.c.values()))
-        by_n: Dict[int, Dict[int, int]] = {}
+    def horner_rows(self) -> List[Tuple[int, int, int, bool, List[Rational]]]:
+        """Per a-exponent n present, descending: (n, lowest q, highest q,
+        step-2 flag, coefficients from the highest q down, 0 in the gaps).  A
+        row whose exponents share a parity steps by 2, to run in e^2."""
+        by_n: Dict[int, Dict[int, Rational]] = {}
         for (n, q), v in self.c.items():
-            by_n.setdefault(n, {})[q] = v.numerator * (den // v.denominator)
+            by_n.setdefault(n, {})[q] = v
         rows = []
         for n in sorted(by_n, reverse=True):
             row = by_n[n]
             lo, hi = min(row), max(row)
             step2 = all((q - lo) % 2 == 0 for q in row)
-            coeffs = [row.get(q, 0) for q in range(hi, lo - 1, -2 if step2 else -1)]
+            coeffs = [row.get(q, ZERO) for q in range(hi, lo - 1, -2 if step2 else -1)]
             rows.append((n, lo, hi, step2, coeffs))
-        return den, max(q for _, q in self.c), rows
+        return rows
 
-    def to_text(self) -> str:
-        """Canonical text: terms sorted by (n, q), each `num/den * a^n * e^q`."""
+    def _scaled_rows(self):
+        """(D, Ne, rows): `horner_rows` with every coefficient c as the integer c D."""
         if not self.c:
-            return "0"
-        return _TERM_SEP.join(
-            f"{rational_str(v)} * a^{n} * e^{q}" for (n, q), v in sorted(self.c.items())
-        )
-
-    @staticmethod
-    def from_text(text: str, trunc_a: int, trunc_e: int) -> "SeriesAE":
-        text = text.strip()
-        if text == "0":
-            return SeriesAE.zero(trunc_a, trunc_e)
-        coeffs: Dict[Tuple[int, int], Rational] = {}
-        for term in text.split(_TERM_SEP):
-            num, _, powers = term.partition(" * a^")
-            a_pow, _, e_pow = powers.partition(" * e^")
-            coeffs[(int(a_pow), int(e_pow))] = rational(num.strip())
-        return SeriesAE(coeffs, trunc_a, trunc_e)
+            return 1, 0, []
+        den = math.lcm(*(v.denominator for v in self.c.values()))
+        rows = [
+            (n, lo, hi, step2, [c.numerator * (den // c.denominator) for c in coeffs])
+            for n, lo, hi, step2, coeffs in self.horner_rows()
+        ]
+        return den, max(q for _, q in self.c), rows
 
     def __repr__(self) -> str:
         if not self.c:
@@ -478,26 +354,3 @@ def sqrt_one_minus_e2(trunc: int, p: int = 1) -> SeriesE:
         if c != 0:
             coeffs[2 * j] = c if j % 2 == 0 else -c
     return SeriesE(coeffs, trunc, _raw=True)
-
-
-def beta_series(trunc: int) -> SeriesE:
-    """beta(e) = e / (1 + sqrt(1-e^2)); starts at e/2, odd powers only."""
-    denom = SeriesE.one(trunc) + sqrt_one_minus_e2(trunc)
-    return SeriesE.monomial(1, 1, trunc) * denom.inverse()
-
-
-def bessel_j_series(t: int, k: int, trunc: int) -> SeriesE:
-    """Bessel J_t(k e) as a series in e; J_{-t}(ke) = (-1)^t J_t(ke)."""
-    if t < 0:
-        s = bessel_j_series(-t, k, trunc)
-        return s if t % 2 == 0 else -s
-    coeffs: Dict[int, Rational] = {}
-    for s_idx in range((trunc - t) // 2 + 1 if trunc >= t else 0):
-        q = t + 2 * s_idx
-        num = k**q
-        if num == 0 and q > 0:
-            continue
-        den = (2**q) * math.factorial(s_idx) * math.factorial(t + s_idx)
-        c = rational(num, den)
-        coeffs[q] = c if s_idx % 2 == 0 else -c
-    return SeriesE(coeffs, trunc)

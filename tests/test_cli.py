@@ -57,6 +57,14 @@ def test_hansen_table_method_mismatch_usage_error(capsys):
     assert "needs k = 0" in err
 
 
+@pytest.mark.parametrize("table", [["--table"], []], ids=["table", "single"])
+def test_hansen_empty_range_usage_error(capsys, table):
+    code, out, err = run(capsys, "hansen", *table, "--n", "5..3", "--m", "0", "--k", "0", "--order", "4")
+    assert code == 2
+    assert "empty range '5..3'" in err
+    assert out == ""
+
+
 def test_hansen_table_runs_the_requested_method(capsys, monkeypatch):
     import importlib
 
@@ -336,6 +344,15 @@ def test_spotcheck_domain_error_exit_code(capsys):
     )
     assert code == 3
     assert "domain error" in err
+
+
+def test_spotcheck_no_samples_usage_error(capsys):
+    code, out, err = run(
+        capsys, "spotcheck", "--m", "1", "--k", "0", "--a", "0.1", "--e", "0.1",
+        "--order", "4", "--samples", "0",
+    )
+    assert code == 2
+    assert "samples must be at least 1" in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

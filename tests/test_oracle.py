@@ -52,6 +52,18 @@ def test_kepler_rejects_hyperbolic():
         solve_kepler(0.3, 1.0)
 
 
+@pytest.mark.parametrize("e", [0.99, 0.999])
+def test_kepler_grid_converges_at_high_eccentricity(e):
+    # Newton from u0 = ell diverges at some of these points; bisection finishes them
+    ell, u, _ = kepler_grid(e, 4096)
+    assert np.max(np.abs(u - e * np.sin(u) - ell)) <= 1e-13
+
+
+def test_kepler_grid_rejects_no_samples():
+    with pytest.raises(ValueError, match="samples"):
+        kepler_grid(0.5, 0)
+
+
 def test_kepler_grid_consistency():
     ell, u, r = kepler_grid(0.4, 128)
     assert np.max(np.abs(u - 0.4 * np.sin(u) - ell)) <= 1e-13

@@ -1,17 +1,12 @@
-"""Truncated-series algebra: arithmetic, ring laws, auxiliary series, text form."""
+"""Truncated-series algebra: arithmetic, ring laws, auxiliary series, evaluation."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hansenatlas.atlas import PolyEval
 from hansenatlas.exact import rational
-from hansenatlas.series import (
-    SeriesAE,
-    SeriesE,
-    bessel_j_series,
-    beta_series,
-    sqrt_one_minus_e2,
-)
+from hansenatlas.hansen import _workspace
+from hansenatlas.series import SeriesAE, SeriesE, sqrt_one_minus_e2
 
 
 def S(coeffs, trunc):
@@ -99,26 +94,11 @@ def test_neutral_elements(a):
 # -- division ------------------------------------------------------------------
 
 
-def test_inverse_round_trip():
-    s = S({0: 2, 1: rational(-1, 2), 3: rational(5, 7)}, 9)
-    assert (s * s.inverse()) == SeriesE.one(9)
-
-
-def test_inverse_requires_constant_term():
-    with pytest.raises(ZeroDivisionError):
-        S({1: 1}, 4).inverse()
-
-
 def test_divided_by_e_exactness():
     s = S({1: 3, 3: rational(1, 2)}, 5)
     assert s.divided_by_e() == S({0: 3, 2: rational(1, 2)}, 5)
     with pytest.raises(ValueError):
         S({0: 1}, 2).divided_by_e()
-
-
-def test_pow_int_negative():
-    s = S({0: 1, 2: -1}, 8)
-    assert s.pow_int(-2) * s.pow_int(2) == SeriesE.one(8)
 
 
 # -- auxiliary series ---------------------------------------------------------
@@ -139,6 +119,23 @@ def test_sqrt_negative_power_inverse():
     assert sqrt_one_minus_e2(10, p=-1) * sqrt_one_minus_e2(10, p=1) == SeriesE.one(10)
 
 
+# beta(e) and J_t(ke) live in Wnuk's integer workspace as dense lists
+# [c_0, c_1, ...] = sum_i c_i (e/2)^(lo+2i), J_t(ke) held times trunc!
+
+
+def _dense_series(dense, lo, trunc, scale=1):
+    return S({lo + 2 * i: rational(c, scale << (lo + 2 * i)) for i, c in enumerate(dense)}, trunc)
+
+
+def beta_series(trunc):
+    return _dense_series(_workspace(trunc).beta_pows[1], 1, trunc)
+
+
+def bessel_j_series(t, k, trunc):
+    ws = _workspace(trunc)
+    return _dense_series(ws.bessel(t, k), t, trunc, ws.factorials[trunc])
+
+
 def test_beta_series_values():
     assert beta_series(1) == S({1: rational(1, 2)}, 1)
     assert beta_series(3) == S({1: rational(1, 2), 3: rational(1, 8)}, 3)
@@ -146,26 +143,26 @@ def test_beta_series_values():
 
 
 def test_beta_identity():
+    # beta = e/(1+sqrt(1-e^2))
     trunc = 11
-    beta = beta_series(trunc)
     one_plus_sqrt = SeriesE.one(trunc) + sqrt_one_minus_e2(trunc)
-    assert beta * one_plus_sqrt == SeriesE.monomial(1, 1, trunc)
+    assert beta_series(trunc) * one_plus_sqrt == S({1: 1}, trunc)
 
 
 def test_bessel_values():
     assert bessel_j_series(0, 0, 4) == SeriesE.one(4)
     assert bessel_j_series(1, 2, 3) == S({1: 1, 3: rational(-1, 2)}, 3)
-    assert bessel_j_series(-1, 2, 1) == S({1: -1}, 1)
+    assert bessel_j_series(0, 2, 4) == S({0: 1, 2: -1, 4: rational(1, 4)}, 4)
 
 
 def test_bessel_constant_term_is_kronecker_delta():
-    for t in range(-3, 4):
+    for t in range(4):
         for k in (0, 1, 3):
             s = bessel_j_series(t, k, 8)
             assert s.coeff(0) == (1 if t == 0 else 0)
 
 
-# -- evaluation and serialization ---------------------------------------------
+# -- evaluation ------------------------------------------------------------------
 
 
 def test_eval_float_horner():
@@ -178,19 +175,6 @@ def test_eval_exact():
     assert s.eval_exact(rational(3, 2)) == rational(3, 2)
 
 
-def test_series_e_text_round_trip():
-    s = S({0: 1, 2: rational(-5, 3), 7: rational(1, 64)}, 9)
-    assert SeriesE.from_text(s.to_text(), 9) == s
-    assert SeriesE.from_text(SeriesE.zero(4).to_text(), 4) == SeriesE.zero(4)
-    assert s.to_text() == "1 * e^0 + -5/3 * e^2 + 1/64 * e^7"
-
-
-def test_series_ae_text_round_trip():
-    s = SeriesAE({(0, 0): -1, (2, 0): rational(-1, 4), (2, 2): rational(-3, 8)}, 4, 4)
-    assert SeriesAE.from_text(s.to_text(), 4, 4) == s
-    assert s.to_text() == "-1 * a^0 * e^0 + -1/4 * a^2 * e^0 + -3/8 * a^2 * e^2"
-
-
 def test_pretty_forms():
     assert S({2: rational(5, 2)}, 7).pretty() == "5/2 e^2"
     assert SeriesE.zero(3).pretty() == "0"
@@ -200,11 +184,12 @@ def test_pretty_forms():
 # -- bivariate specifics --------------------------------------------------------
 
 
-def test_series_ae_mul_and_truncate():
-    a = SeriesAE({(1, 0): 1, (0, 1): 1}, 2, 2)
-    sq = a * a
-    assert sq == SeriesAE({(2, 0): 1, (1, 1): 2, (0, 2): 1}, 2, 2)
+def test_series_ae_truncate():
+    sq = SeriesAE({(2, 0): 1, (1, 1): 2, (0, 2): 1}, 2, 2)
     assert sq.truncate(1, 1) == SeriesAE({(1, 1): 2}, 1, 1)
+    assert sq.truncate(2, 2) is sq
+    with pytest.raises(ValueError):
+        sq.truncate(3, 2)
 
 
 def test_series_ae_eval_horner():
@@ -235,14 +220,6 @@ def series_ae(draw, max_order=8):
         q = draw(st.integers(min_value=0, max_value=te))
         coeffs[(n, q)] = rational(str(draw(rationals)))
     return SeriesAE(coeffs, ta, te)
-
-
-@given(series_ae(), series_ae(), series_ae())
-@settings(max_examples=80, deadline=None)
-def test_bivariate_ring_laws(a, b, c):
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
 
 
 def _term_sum(s, a, e):
