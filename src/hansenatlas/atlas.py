@@ -69,20 +69,20 @@ class PolyEval:
     """Double-precision Horner evaluation (in a, then in e) of a SeriesAE."""
 
     def __init__(self, series: SeriesAE):
+        # `series.horner_rows()` in floats, for `at_point` and as the dense C
+        self._rows = [
+            (n, lo, hi, step2, [float(c) for c in coeffs])
+            for n, lo, hi, step2, coeffs in series.horner_rows()
+        ]
         C = np.zeros((series.trunc_a + 1, series.trunc_e + 1))
-        for (n, q), v in series.c.items():
-            C[n, q] = float(v)
+        for n, lo, hi, step2, coeffs in self._rows:
+            C[n, lo : hi + 1 : 2 if step2 else 1] = coeffs[::-1]
         self.C = C
         # the e-exponents of the nonzero columns, highest first, with their
         # coefficient columns, and which a-rows are nonzero
         self._cols = np.flatnonzero(C.any(axis=0))[::-1]
         self._Ce = np.ascontiguousarray(C[:, self._cols])
         self._nz_rows = C.any(axis=1)
-        # `series.horner_rows()` in floats, for `at_point`
-        self._rows = [
-            (n, lo, step2, [float(c) for c in coeffs])
-            for n, lo, _, step2, coeffs in series.horner_rows()
-        ]
 
     def at(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Values p(a, e) with `a` and `e` broadcast against each other: paired
@@ -212,7 +212,7 @@ class PolyEval:
         e2 = e * e
         acc = 0.0
         prev_n = None
-        for n, qlow, step2, coeffs in self._rows:
+        for n, qlow, _, step2, coeffs in self._rows:
             if prev_n is not None:
                 acc *= a ** (prev_n - n)
             inner = 0.0
