@@ -570,6 +570,14 @@ ZEROS_DIGESTS = {
             "atlas.json": "7c71ebc2371a89e25d29ade24414a48cfd42bd21a912245556978880c852ea0c",
         },
     ),
+    # 269 Newton seeds: 231 converge in float, 35 stagnate, 3 find no descent
+    "triple-scan": (
+        ("--task", "triple", "--order", "20", "--mmax", "8", "--grid", "128"),
+        {
+            "curves.csv": "6efcf20f52654ef0f05b068128b894ce6419aa8504208bc2bea636298b7f0e90",
+            "atlas.json": "407e268f836005d49d925993ebf8c8b56362c7a712b75468c16231b36b65bdbe",
+        },
+    ),
 }
 
 
