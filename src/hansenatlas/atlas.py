@@ -15,13 +15,14 @@ from the exact value) -> marching squares on arrays (each cell's corner
 pattern picks its segments from a 16-row case table; edges are integer ids)
 with per-edge bisection on sparse Horner (`PolyEval.at`), started from the
 grid's signs -> chained polylines (ZeroCurve) -> pairwise-proximity
-seeds -> damped Newton in float per seed, on fhat with the float Horner of the
-exact derivative series as Jacobian -> dedupe of the converged points -> one
-exact residual check, polished if needed, per distinct point
-(IntersectionReport) -> near-triple triangles with area/incenter/inradius
-(TriangleReport).  A triple zero is certified only when a Gauss-Newton solve
-of the full 3-system, confirmed the same way, reaches residuals <=
-RESIDUAL_TOL on all three coefficients.
+seeds -> damped Newton in float from every seed, on fhat with the float Horner
+of the exact derivative series as Jacobian, all seeds in lockstep with one
+batched `PolyEval.at_points` per surface and series per round -> dedupe of
+the converged points -> one exact residual check, polished if needed, per
+distinct point (IntersectionReport) -> near-triple triangles with
+area/incenter/inradius (TriangleReport).  A triple zero is certified only
+when a Gauss-Newton solve of the full 3-system, confirmed the same way,
+reaches residuals <= RESIDUAL_TOL on all three coefficients.
 
 `trace_surface` is the one tracer.  `find_double` (j = 1, 2) and
 `find_triple` (j = 1, 2, 3) trace f_{jm,jk} once each and return a
@@ -37,7 +38,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,15 +70,30 @@ class PolyEval:
     """Double-precision Horner evaluation (in a, then in e) of a SeriesAE."""
 
     def __init__(self, series: SeriesAE):
-        # `series.horner_rows()` in floats, for `at_point` and as the dense C
-        self._rows = [
+        # `series.horner_rows()` in floats, for `at_points` and as the dense C
+        rows = [
             (n, lo, hi, step2, [float(c) for c in coeffs])
             for n, lo, hi, step2, coeffs in series.horner_rows()
         ]
         C = np.zeros((series.trunc_a + 1, series.trunc_e + 1))
-        for n, lo, hi, step2, coeffs in self._rows:
+        for n, lo, hi, step2, coeffs in rows:
             C[n, lo : hi + 1 : 2 if step2 else 1] = coeffs[::-1]
         self.C = C
+        # the rows for `at_points`: coefficients padded with zeros at the high
+        # end to one length, the step-2 flags, each row's e**lo and the gap
+        # a**(n_prev - n) to the row above as indices into the exponent lists,
+        # and the lowest a-exponent
+        width = max((len(coeffs) for *_, coeffs in rows), default=0)
+        self._K = np.zeros((len(rows), width))
+        for r, (*_, coeffs) in enumerate(rows):
+            self._K[r, width - len(coeffs) :] = coeffs
+        self._step2 = np.array([[step2] for *_, step2, _ in rows], dtype=bool)
+        ns = [n for n, *_ in rows]
+        self._e_exps = sorted({lo for _, lo, *_ in rows})
+        self._e_idx = [self._e_exps.index(lo) for _, lo, *_ in rows]
+        self._a_exps = sorted({p - n for p, n in zip(ns, ns[1:])} | set(ns[-1:]))
+        self._a_idx = [self._a_exps.index(p - n) for p, n in zip(ns, ns[1:])]
+        self._a_last = self._a_exps.index(ns[-1]) if ns else None
         # the e-exponents of the nonzero columns, highest first, with their
         # coefficient columns, and which a-rows are nonzero
         self._cols = np.flatnonzero(C.any(axis=0))[::-1]
@@ -203,27 +219,46 @@ class PolyEval:
                 settled += 1
         return S, settled
 
-    def at_point(self, a: float, e: float) -> float:
-        """Pure-Python scalar Horner (same scheme as `at`, no array overhead).
+    def at_points(self, a: Sequence[float], e: Sequence[float]) -> np.ndarray:
+        """Values p(a[i], e[i]) at paired points, by Horner on the parity rows
+        of `SeriesAE.horner_rows`, for finite a and e.
 
-        Rows exploit the parity gaps: per a-exponent n, the e-coefficients are
-        stored from their lowest exponent with step 2 and evaluated in e^2.
+        Per a-exponent n, descending, the e-coefficients run from the highest
+        exponent down to the lowest, lo, with step 2 in e^2 where they share
+        a parity, and the row's value is that Horner times e**lo.  The rows
+        are folded by Horner in a: acc = acc * a**(n_prev - n) + row, and the
+        result is acc * a**n_last.  The e-Horner runs on all rows and points
+        at once; the zeros that pad a short row at its high end leave every
+        value unchanged, since 0*x + 0 = 0 and 0*x + c = c for finite x.
+
+        The powers a**d and e**lo are taken per point by Python's scalar `**`
+        (the C library's pow), not by `np.power` on arrays: numpy's array pow
+        may take a vector path whose last bit differs from the scalar one
+        (about 5 % of inputs for d >= 3 with numpy 2.4 on AVX-512), and the
+        Newton iterates must not depend on the batch they are evaluated in.
         """
-        e2 = e * e
-        acc = 0.0
-        prev_n = None
-        for n, qlow, _, step2, coeffs in self._rows:
-            if prev_n is not None:
-                acc *= a ** (prev_n - n)
-            inner = 0.0
-            x = e2 if step2 else e
-            for c in coeffs:
-                inner = inner * x + c
-            acc += inner * e**qlow
-            prev_n = n
-        if prev_n is None:
-            return 0.0
-        return acc * a**prev_n
+        al = np.asarray(a, dtype=float).ravel().tolist()
+        el = np.asarray(e, dtype=float).ravel().tolist()
+        e = np.array(el)
+        if not len(self._K):
+            return np.zeros(len(el))
+        x = np.where(self._step2, e * e, e)
+        inner = np.empty((len(self._K), len(el)))
+        inner[...] = self._K[:, :1]
+        for c in self._K.T[1:, :, None]:
+            inner *= x
+            inner += c
+        inner *= np.array([[v**q for v in el] for q in self._e_exps])[self._e_idx]
+        apow = np.array([[v**d for v in al] for d in self._a_exps])
+        acc = inner[0] + 0.0
+        for r, g in enumerate(self._a_idx, 1):
+            acc *= apow[g]
+            acc += inner[r]
+        return acc * apow[self._a_last]
+
+    def at_point(self, a: float, e: float) -> float:
+        """p(a, e) at one point: `at_points` on a single pair."""
+        return float(self.at_points([a], [e])[0])
 
 
 class ModeSurface:
@@ -252,19 +287,18 @@ class ModeSurface:
         norm = self.norm_scale * np.power(a, self.a_power) * np.power(e, self.e_power)
         return self.poly.at(a, e) / norm
 
-    def normalized_value_and_jac(
-        self, a: float, e: float
-    ) -> Tuple[float, float, float]:
-        """fhat and its partials; d(f/nm)/da = (f_a - p_a f / a)/nm etc."""
-        f = self.poly.at_point(a, e)
-        fa = self.da.at_point(a, e)
-        fe = self.de.at_point(a, e)
-        nm = self.norm_scale * a**self.a_power * e**self.e_power
-        return (
-            f / nm,
-            (fa - self.a_power * f / a) / nm,
-            (fe - self.e_power * f / e) / nm,
-        )
+    def normalized_and_partials(
+        self, a: np.ndarray, e: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """fhat and its partials at paired points, each an `at_points`
+        evaluation; d(f/nm)/da = (f_a - p_a f / a)/nm etc., with the powers of
+        nm taken per point by scalar `**` like those of `at_points`."""
+        f = self.poly.at_points(a, e)
+        fa = self.da.at_points(a, e)
+        fe = self.de.at_points(a, e)
+        nm = self.norm_scale * np.array([v**self.a_power for v in a.tolist()])
+        nm *= np.array([v**self.e_power for v in e.tolist()])
+        return f / nm, (fa - self.a_power * f / a) / nm, (fe - self.e_power * f / e) / nm
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +575,6 @@ def _polyline_distance(curves: Sequence[ZeroCurve], point: Tuple[float, float]) 
 NORMALIZED_NEWTON_TOL = 1e-13
 
 
-def _fhat_jac(surfs: Sequence[ModeSurface], x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    rows = [s.normalized_value_and_jac(x[0], x[1]) for s in surfs]
-    return np.array([r[0] for r in rows]), np.array([[r[1], r[2]] for r in rows])
-
-
 def _step(F: np.ndarray, J: np.ndarray) -> Optional[np.ndarray]:
     """Newton step (least squares for three surfaces); None if J is singular."""
     try:
@@ -556,17 +585,22 @@ def _step(F: np.ndarray, J: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
+NewtonResult = Optional[Tuple[Tuple[float, float], int]]
+
+
 def _newton_float(
-    surfs: Sequence[ModeSurface], seed: Tuple[float, float]
-) -> Optional[Tuple[Tuple[float, float], int]]:
-    """Damped (Gauss-)Newton in float down to |fhat_j| <= NORMALIZED_NEWTON_TOL;
-    returns (point, iterations), None on divergence.  It runs on the normalized
+    seed: Tuple[float, float]
+) -> Generator[np.ndarray, Tuple[np.ndarray, np.ndarray], NewtonResult]:
+    """Damped (Gauss-)Newton in float down to |fhat_j| <= NORMALIZED_NEWTON_TOL
+    from one seed, as a generator: it yields each point to evaluate and is
+    sent back (F, J), fhat_j and its gradients there.  It returns
+    (point, iterations), None on divergence.  It runs on the normalized
     coefficients, whose zeros stay transversal where the raw ones vanish to high
     order near the axes, so spurious absolute-residual solutions never converge."""
     x = np.array(seed, dtype=float)
     iterations = 0
     stagnant = 0
-    F, J = _fhat_jac(surfs, x)
+    F, J = yield x
     for _ in range(NEWTON_MAX_ITER):
         fmax = np.max(np.abs(F))
         if fmax <= NORMALIZED_NEWTON_TOL:
@@ -579,7 +613,7 @@ def _newton_float(
         for _ in range(40):
             xn = x + lam * step
             if 0.0 < xn[0] < 1.0 and 0.0 < xn[1] < 1.0:
-                Fn, Jn = _fhat_jac(surfs, xn)
+                Fn, Jn = yield xn
                 if np.max(np.abs(Fn)) < fmax or np.max(np.abs(Fn)) <= NORMALIZED_NEWTON_TOL:
                     x, F, J = xn, Fn, Jn
                     accepted = True
@@ -595,6 +629,38 @@ def _newton_float(
     if np.max(np.abs(F)) > NORMALIZED_NEWTON_TOL:
         return None
     return (float(x[0]), float(x[1])), iterations
+
+
+def _fhat_and_jacobians(
+    surfs: Sequence[ModeSurface], points: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(F, J) at every row of `points`: F[i, j] = fhat_j and
+    J[i, j] = (d fhat_j/da, d fhat_j/de) at points[i], one batch per surface."""
+    cols = [s.normalized_and_partials(points[:, 0], points[:, 1]) for s in surfs]
+    F = np.stack([f for f, _, _ in cols], axis=1)
+    J = np.stack([np.stack([fa, fe], axis=1) for _, fa, fe in cols], axis=1)
+    return F, J
+
+
+def _newton_batch(
+    surfs: Sequence[ModeSurface], seeds: Sequence[Tuple[float, float]]
+) -> List[NewtonResult]:
+    """`_newton_float` from every seed, in lockstep: each round evaluates the
+    pending points of all live runs in one batch and sends each run its
+    (F, J).  Returns the results in seed order."""
+    runs = [_newton_float(seed) for seed in seeds]
+    results: List[NewtonResult] = [None] * len(runs)
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        live = list(pending)
+        F, J = _fhat_and_jacobians(surfs, np.array([pending[i] for i in live]))
+        pending = {}
+        for i, Fi, Ji in zip(live, F, J):
+            try:
+                pending[i] = runs[i].send((Fi, Ji))
+            except StopIteration as stop:
+                results[i] = stop.value
+    return results
 
 
 def _confirm(
@@ -627,7 +693,7 @@ def _confirm(
         x = xn
         Fe = f_exact(x)
         iterations += 1
-    fhat = _fhat_jac(surfs, x)[0]
+    fhat = _fhat_and_jacobians(surfs, x[None])[0][0]
     if np.max(np.abs(Fe)) > RESIDUAL_TOL or np.max(np.abs(fhat)) > EPS_CURVE:
         return None
     return (float(x[0]), float(x[1])), tuple(abs(float(v)) for v in Fe), iterations
@@ -647,9 +713,9 @@ def _refine_pair(
     mode = pair[0].mode
     curves_a, curves_b = (curves[j] for j in multiples)
     radius = 2.0 / grid_n
+    seeds = _proximity_seeds(curves_a, curves_b, radius)
     converged, dropped = [], []
-    for seed in _proximity_seeds(curves_a, curves_b, radius):
-        res = _newton_float(pair, seed)
+    for seed, res in zip(seeds, _newton_batch(pair, seeds)):
         if res is None:
             dropped.append(seed)
         else:
@@ -790,8 +856,8 @@ def find_triple(
 
     certificates: List[TripleZeroCertificate] = []
     triple = (surfs[1], surfs[2], surfs[3])
-    for tri in triangles[:5]:
-        converged = _newton_float(triple, tri.incenter)
+    incenters = [tri.incenter for tri in triangles[:5]]
+    for converged in _newton_batch(triple, incenters):
         confirmed = converged and _confirm(triple, *converged)
         if confirmed:
             point, residuals, _ = confirmed

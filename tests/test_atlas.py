@@ -158,6 +158,97 @@ def test_at_equals_dense_horner_property(series, points):
     assert_at_is_dense(poly, a[:, None], e[None, :])
 
 
+# -- parity-row Horner at paired points against its scalar loop ----------------
+
+
+def parity_rows(series):
+    """`series.horner_rows()` in floats: (n, lowest q, step-2 flag, coefficients)."""
+    return [
+        (n, lo, step2, [float(c) for c in coeffs])
+        for n, lo, _, step2, coeffs in series.horner_rows()
+    ]
+
+
+def parity_row_reference(rows, a, e):
+    """The scalar Horner on the parity rows, one point at a time: the reference
+    that PolyEval.at_points must equal bit for bit."""
+    e2 = e * e
+    acc = 0.0
+    prev_n = None
+    for n, qlow, step2, coeffs in rows:
+        if prev_n is not None:
+            acc *= a ** (prev_n - n)
+        inner = 0.0
+        x = e2 if step2 else e
+        for c in coeffs:
+            inner = inner * x + c
+        acc += inner * e**qlow
+        prev_n = n
+    if prev_n is None:
+        return 0.0
+    return acc * a**prev_n
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_at_points_is_reference(series, a, e):
+    rows, poly = parity_rows(series), PolyEval(series)
+    want = [parity_row_reference(rows, x, y) for x, y in zip(a.tolist(), e.tolist())]
+    assert_same_bits(poly.at_points(a, e), want)
+    return poly, rows, want
+
+
+@pytest.mark.parametrize(
+    "mode", [Mode(5, -2), Mode(10, -4), Mode(15, -6), Mode(3, 4)], ids=str
+)
+def test_at_points_equals_parity_rows_at_order60(mode):
+    # the Newton surfaces of the (5,-2) triangle and of (3,4): f, f_a and f_e
+    # at 2,000 points, passed as arrays, as Python floats and as numpy scalars
+    rng = np.random.default_rng(60)
+    a, e = rng.random((2, 2000))
+    series = fourier_coefficient(mode, 60, 60)
+    for s in (series, series.derivative_a(), series.derivative_e()):
+        poly, rows, want = assert_at_points_is_reference(s, a, e)
+        assert_same_bits([parity_row_reference(rows, x, y) for x, y in zip(a, e)], want)
+        assert_same_bits([poly.at_point(x, y) for x, y in zip(a, e)], want)
+
+
+@pytest.mark.parametrize(
+    "coeffs, trunc_a, trunc_e",
+    [
+        ({}, 3, 4),  # zero series
+        ({(2, 3): -7}, 4, 5),  # single monomial
+        ({(3, 1): 2, (3, 5): Fraction(-1, 3), (3, 4): 5}, 4, 6),  # one row, both parities
+        ({(0, 0): 1, (1, 3): 2, (4, 1): Fraction(-3, 7), (4, 5): 3}, 5, 6),  # gaps 3 and 1
+    ],
+    ids=["zero", "monomial", "one-row", "uneven-rows"],
+)
+def test_at_points_equals_parity_rows_on_edge_cases(coeffs, trunc_a, trunc_e):
+    ax = np.array([-0.75, -0.0, 0.0, 1e-3, 0.3, 0.7, 1.0, 1.5])
+    a, e = (g.ravel() for g in np.meshgrid(ax, ax, indexing="ij"))
+    poly, _, want = assert_at_points_is_reference(SeriesAE(coeffs, trunc_a, trunc_e), a, e)
+    assert_same_bits(poly.at_points(a[:0], e[:0]), [])
+    assert_same_bits([poly.at_point(np.float64(x), y) for x, y in zip(a, e.tolist())], want)
+
+
+@given(
+    sparse_int_series(),
+    st.lists(
+        st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_at_points_equals_parity_rows_property(series, points):
+    a, e = np.array(points).T
+    assert_at_points_is_reference(series, a, e)
+
+
 # -- certified sign grid ---------------------------------------------------------
 
 
@@ -653,19 +744,18 @@ def test_find_double_confirms_each_distinct_point_once(monkeypatch):
 
 def test_failed_confirmation_falls_back_to_next_cluster_member(monkeypatch):
     converged, confirms = [], []
-    newton_float, confirm = atlas._newton_float, atlas._confirm
+    newton_batch, confirm = atlas._newton_batch, atlas._confirm
 
-    def recording_newton(surfs, seed):
-        res = newton_float(surfs, seed)
-        if res is not None:
-            converged.append(res)
-        return res
+    def recording_newton(surfs, seeds):
+        results = newton_batch(surfs, seeds)
+        converged.extend(res for res in results if res is not None)
+        return results
 
     def first_fails(surfs, x, iterations):
         confirms.append((surfs, x, iterations))
         return None if len(confirms) == 1 else confirm(surfs, x, iterations)
 
-    monkeypatch.setattr(atlas, "_newton_float", recording_newton)
+    monkeypatch.setattr(atlas, "_newton_batch", recording_newton)
     monkeypatch.setattr(atlas, "_confirm", first_fails)
     (rep,) = find_double(Mode(2, 5), (30, 30), 128).pair(1, 2)
     first, second = sorted(converged, key=lambda r: r[0])[:2]
@@ -673,6 +763,147 @@ def test_failed_confirmation_falls_back_to_next_cluster_member(monkeypatch):
     assert [(x, it) for _, x, it in confirms] == [first, second]
     surfs = confirms[1][0]
     assert (rep.point, rep.residuals, rep.newton_iterations) == confirm(surfs, *second)
+
+
+# -- the lockstep Newton against its per-seed loop ----------------------------
+
+
+def _newton_reference(surfs, rows, seed):
+    """The damped (Gauss-)Newton of `atlas._newton_float` as one scalar loop
+    per seed, on the scalar parity-row Horner of `rows` (f, f_a and f_e of
+    each surface): (result, evaluations, exit), the result being what
+    `_newton_batch` must return for this seed."""
+    evaluations = 0
+
+    def fhat_jac(x):
+        nonlocal evaluations
+        evaluations += 1
+        out = []
+        for surf, (r, ra, re) in zip(surfs, rows):
+            a, e = x[0], x[1]
+            f, fa, fe = (parity_row_reference(rr, a, e) for rr in (r, ra, re))
+            nm = surf.norm_scale * a**surf.a_power * e**surf.e_power
+            out.append((f / nm, (fa - surf.a_power * f / a) / nm, (fe - surf.e_power * f / e) / nm))
+        return np.array([o[0] for o in out]), np.array([[o[1], o[2]] for o in out])
+
+    def done(result, exit):
+        return result, evaluations, exit
+
+    tol = atlas.NORMALIZED_NEWTON_TOL
+    x = np.array(seed, dtype=float)
+    iterations = 0
+    stagnant = 0
+    F, J = fhat_jac(x)
+    for _ in range(atlas.NEWTON_MAX_ITER):
+        fmax = np.max(np.abs(F))
+        if fmax <= tol:
+            break
+        step = atlas._step(F, J)
+        if step is None:
+            return done(None, "singular")
+        lam = 1.0
+        accepted = False
+        for _ in range(40):
+            xn = x + lam * step
+            if 0.0 < xn[0] < 1.0 and 0.0 < xn[1] < 1.0:
+                Fn, Jn = fhat_jac(xn)
+                if np.max(np.abs(Fn)) < fmax or np.max(np.abs(Fn)) <= tol:
+                    x, F, J = xn, Fn, Jn
+                    accepted = True
+                    break
+            lam *= atlas.NEWTON_DAMPING
+        iterations += 1
+        if not accepted:
+            return done(None, "no descent")
+        stagnant = stagnant + 1 if np.max(np.abs(F)) > 0.5 * fmax else 0
+        if stagnant >= 6:
+            return done(None, "stagnant")
+    if np.max(np.abs(F)) > tol:
+        return done(None, "iterations")
+    return done(((float(x[0]), float(x[1])), iterations), "converged")
+
+
+def assert_batch_is_reference(monkeypatch, surfs, seeds):
+    """`_newton_batch` returns the reference's results and evaluates once per
+    surface and series per round, in as many rounds as the longest run has
+    evaluations; returns the reference's exits."""
+    counts = {"rounds": 0, "at_points": 0}
+    batch, at_points = atlas._fhat_and_jacobians, PolyEval.at_points
+
+    def counted_batch(*args):
+        counts["rounds"] += 1
+        return batch(*args)
+
+    def counted_at_points(*args):
+        counts["at_points"] += 1
+        return at_points(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(atlas, "_fhat_and_jacobians", counted_batch)
+        m.setattr(PolyEval, "at_points", counted_at_points)
+        got = atlas._newton_batch(surfs, seeds)
+    rows = [
+        [parity_rows(s) for s in (surf.series, surf.series.derivative_a(), surf.series.derivative_e())]
+        for surf in surfs
+    ]
+    want = [_newton_reference(surfs, rows, seed) for seed in seeds]
+    assert got == [result for result, _, _ in want]
+    assert counts["rounds"] == max((evals for _, evals, _ in want), default=0)
+    assert counts["at_points"] == 3 * len(surfs) * counts["rounds"]
+    return [exit for _, _, exit in want]
+
+
+def _traced_pairs(mode, order):
+    """The surface pairs of f_{jm,jk}, j = 1, 2, 3, with their proximity seeds
+    at the default grid, as `_refine_pair` builds them."""
+    surfs = {j: ModeSurface(mode.multiple(j), order) for j in (1, 2, 3)}
+    curves = {j: trace_surface(s) for j, s in surfs.items()}
+    radius = 2.0 / atlas.DEFAULT_GRID
+    for j1, j2 in itertools.combinations((1, 2, 3), 2):
+        yield (surfs[j1], surfs[j2]), atlas._proximity_seeds(curves[j1], curves[j2], radius)
+
+
+def test_newton_batch_equals_reference_on_5_m2_at_order60(monkeypatch):
+    exits = []
+    for pair, seeds in _traced_pairs(Mode(5, -2), (60, 60)):
+        exits += assert_batch_is_reference(monkeypatch, pair, seeds)
+    assert "converged" in exits
+
+
+def test_newton_batch_equals_reference_where_seeds_stagnate(monkeypatch):
+    # (2,3) at order 30: the pair (4,6), (6,9) drops 155 of 163 seeds by
+    # stagnation and 3 for want of a descent step
+    exits = []
+    for pair, seeds in _traced_pairs(Mode(2, 3), (30, 30)):
+        exits += assert_batch_is_reference(monkeypatch, pair, seeds)
+    assert {"converged", "stagnant", "no descent"} <= set(exits)
+
+
+def _polynomial_surface(coeffs, trunc_a, trunc_e):
+    """A ModeSurface of an arbitrary polynomial, with fhat = f."""
+    surf = ModeSurface.__new__(ModeSurface)
+    surf.series = SeriesAE(coeffs, trunc_a, trunc_e)
+    surf.poly = PolyEval(surf.series)
+    surf.da = PolyEval(surf.series.derivative_a())
+    surf.de = PolyEval(surf.series.derivative_e())
+    surf.norm_scale, surf.a_power, surf.e_power = 1.0, 0, 0
+    return surf
+
+
+def test_newton_batch_equals_reference_on_singular_and_slow_runs(monkeypatch):
+    # f = f: J has two equal rows, so the solve fails at once.  f = 10^20 a^2
+    # with g = e - 1/2: each step halves a and quarters f, so the run is
+    # still above the tolerance after NEWTON_MAX_ITER steps
+    surf = ModeSurface(Mode(2, 5), (20, 20))
+    seeds = [(0.3, 0.4), (0.6, 0.7)]
+    assert assert_batch_is_reference(monkeypatch, (surf, surf), seeds) == ["singular"] * 2
+    slow = (
+        _polynomial_surface({(2, 0): 10**20}, 2, 1),
+        _polynomial_surface({(0, 1): 1, (0, 0): Fraction(-1, 2)}, 2, 1),
+    )
+    seeds = [(0.5, 0.25), (0.5, 0.5), (0.25, 0.75)]
+    assert assert_batch_is_reference(monkeypatch, slow, seeds) == ["iterations"] * 3
+    assert assert_batch_is_reference(monkeypatch, (surf, surf), []) == []
 
 
 # -- scans ---------------------------------------------------------------------
