@@ -250,6 +250,8 @@ class PolyEval:
             inner += c
         inner *= np.array([[v**q for v in el] for q in self._e_exps])[self._e_idx]
         apow = np.array([[v**d for v in al] for d in self._a_exps])
+        # a copy of the top row that, like the scalar loop's 0.0 + row, turns
+        # -0.0 into 0.0
         acc = inner[0] + 0.0
         for r, g in enumerate(self._a_idx, 1):
             acc *= apow[g]
