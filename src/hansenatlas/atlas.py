@@ -27,7 +27,8 @@ reaches residuals <= RESIDUAL_TOL on all three coefficients.
 `trace_surface` is the one tracer.  `find_double` (j = 1, 2) and
 `find_triple` (j = 1, 2, 3) trace f_{jm,jk} once each and return a
 `CommonZeros` that carries those curves with the pairwise intersections,
-triangles and certificates; `scan_modes` builds its entries from it.
+triangles and certificates: the one per-mode result, which `scan_modes`
+returns and the exports read.
 
 Everything is deterministic: grids, seed ordering, Newton damping and the
 report ordering are all fixed functions of the input.
@@ -70,6 +71,7 @@ class PolyEval:
     """Double-precision Horner evaluation (in a, then in e) of a SeriesAE."""
 
     def __init__(self, series: SeriesAE):
+        self.series = series
         # `series.horner_rows()` in floats, for `at_points` and as the dense C
         rows = [
             (n, lo, hi, step2, [float(c) for c in coeffs])
@@ -142,11 +144,9 @@ class PolyEval:
                 R += Ce[n]
         return R
 
-    def grid_signs(
-        self, a: np.ndarray, e: np.ndarray, series: SeriesAE
-    ) -> Tuple[np.ndarray, int]:
-        """(S, settled): S[i, j] is True where the exact value of `series` (the
-        series this evaluator was built from) at the float node (a[i], e[j]) is
+    def grid_signs(self, a: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, int]:
+        """(S, settled): S[i, j] is True where the exact value of the series
+        this evaluator was built from at the float node (a[i], e[j]) is
         positive, for 1-D axes with values in [0, 1]; `settled` counts the
         nodes that the float bound could not decide and `eval_exact` did.
 
@@ -215,7 +215,7 @@ class PolyEval:
             if sure[:n].all():
                 continue
             for di, j in zip(*np.nonzero(~sure[:n])):
-                S[i + di, j] = series.eval_exact(float(a[i + di]), float(e[j])) > 0
+                S[i + di, j] = self.series.eval_exact(float(a[i + di]), float(e[j])) > 0
                 settled += 1
         return S, settled
 
@@ -428,8 +428,7 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     chained into open or closed polylines from the sorted endpoints along
     sorted neighbours.  `surf` is a ModeSurface or anything with mode/order
     attributes, visible(), a broadcasting normalized_at(a, e) whose sign is
-    that of the raw coefficient, and the coefficient as `series` with its
-    `poly = PolyEval(series)`.
+    that of the raw coefficient, and the coefficient's `poly`, a PolyEval.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
@@ -438,7 +437,7 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
         return []
     n = grid_n
     ax = grid_axis(n)
-    S, settled = surf.poly.grid_signs(ax, ax, surf.series)
+    S, settled = surf.poly.grid_signs(ax, ax)
     if settled:
         log.info("mode %s order %s: %d grid signs settled exactly", mode, order, settled)
 
@@ -751,21 +750,37 @@ PairReports = Tuple[Tuple[Tuple[int, int], Tuple[IntersectionReport, ...]], ...]
 
 @dataclass(frozen=True)
 class CommonZeros:
-    """Zero curves of f_{jm,jk}, their pairwise intersections, near-triple
-    triangles and any certified triple zero (the last two only for j = 1, 2, 3)."""
+    """One mode's zero curves of f_{jm,jk}, their pairwise intersections,
+    near-triple triangles and any certified triple zero (the last two only for
+    j = 1, 2, 3); none of them for a mode `skipped` below the visibility order."""
 
     mode: Mode
     order: Tuple[int, int]
-    curves: CurvesByMultiple
-    pair_reports: PairReports
-    triangles: Tuple[TriangleReport, ...]
-    certificates: Tuple[TripleZeroCertificate, ...]
+    curves: CurvesByMultiple = ()
+    pair_reports: PairReports = ()
+    triangles: Tuple[TriangleReport, ...] = ()
+    certificates: Tuple[TripleZeroCertificate, ...] = ()
+    skipped: bool = False
 
     def pair(self, j1: int, j2: int) -> Tuple[IntersectionReport, ...]:
         for key, reports in self.pair_reports:
             if key == (j1, j2):
                 return reports
         return ()
+
+    @property
+    def intersections(self) -> Tuple[IntersectionReport, ...]:
+        """The pair reports flattened, in pair order."""
+        return tuple(r for _, reports in self.pair_reports for r in reports)
+
+    @property
+    def curve_count(self) -> int:
+        return sum(len(cs) for _, cs in self.curves)
+
+    @property
+    def min_distance(self) -> Optional[float]:
+        dists = [math.hypot(*r.point) for r in self.intersections]
+        return min(dists) if dists else None
 
 
 def _trace_and_refine(
@@ -789,7 +804,7 @@ def find_double(
 ) -> CommonZeros:
     """Curves and common zeros of f_{m,k} and f_{2m,2k} for a coprime-set mode."""
     _, curves, pair_reports = _trace_and_refine(mode, order, grid_n, (1, 2))
-    return CommonZeros(mode, order, curves, pair_reports, (), ())
+    return CommonZeros(mode, order, curves, pair_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -881,33 +896,12 @@ def _dist(p: Tuple[float, float], q: Tuple[float, float]) -> float:
 
 
 @dataclass(frozen=True)
-class ModeScanEntry:
-    mode: Mode
-    skipped: bool
-    reason: str
-    curves: CurvesByMultiple
-    intersections: Tuple[IntersectionReport, ...]
-    triangles: Tuple[TriangleReport, ...]
-    certificates: Tuple[TripleZeroCertificate, ...]
-
-    @property
-    def curve_count(self) -> int:
-        return sum(len(cs) for _, cs in self.curves)
-
-    @property
-    def min_distance(self) -> Optional[float]:
-        if not self.intersections:
-            return None
-        return min(math.hypot(r.point[0], r.point[1]) for r in self.intersections)
-
-
-@dataclass(frozen=True)
 class AtlasReport:
     task: str
     order: Tuple[int, int]
     grid_n: int
     m_max: int
-    entries: Tuple[ModeScanEntry, ...]
+    entries: Tuple[CommonZeros, ...]
 
     @property
     def total_curves(self) -> int:
@@ -923,19 +917,15 @@ class AtlasReport:
         return tuple(c for e in self.entries for c in e.certificates)
 
 
-def _scan_one(args: Tuple[Mode, str, Tuple[int, int], int]) -> ModeScanEntry:
+def _scan_one(args: Tuple[Mode, str, Tuple[int, int], int]) -> CommonZeros:
     mode, task, order, grid_n = args
     j_max = {"curves": 1, "double": 2, "triple": 3}[task]
     if order[0] < j_max * mode.m_star or order[1] < j_max * abs(mode.m - mode.k):
-        return ModeScanEntry(mode, True, "below visibility order", (), (), (), ())
+        return CommonZeros(mode, order, skipped=True)
     if task == "curves":
-        curves = trace_surface(ModeSurface(mode, order), grid_n)
-        return ModeScanEntry(mode, False, "", ((1, tuple(curves)),), (), (), ())
-    result = (find_double if task == "double" else find_triple)(mode, order, grid_n)
-    intersections = tuple(r for _, reports in result.pair_reports for r in reports)
-    return ModeScanEntry(
-        mode, False, "", result.curves, intersections, result.triangles, result.certificates
-    )
+        curves = tuple(trace_surface(ModeSurface(mode, order), grid_n))
+        return CommonZeros(mode, order, ((1, curves),))
+    return (find_double if task == "double" else find_triple)(mode, order, grid_n)
 
 
 def scan_modes(
@@ -946,7 +936,8 @@ def scan_modes(
     jobs: int = 1,
     modes: Optional[Sequence[Mode]] = None,
 ) -> AtlasReport:
-    """Run one task over every coprime-set mode with |m|+|k| <= m_max.
+    """Run one task over every coprime-set mode with |m|+|k| <= m_max, or
+    over `modes` (then `m_max` must not be given and keeps its default).
 
     Skips modes whose leading monomial is invisible at this order; `jobs` > 1
     distributes modes over worker processes (results keep the input order).
@@ -955,6 +946,8 @@ def scan_modes(
         raise ValueError(f"unknown task {task!r}")
     if order[0] < 0 or order[1] < 0:
         raise ValueError(f"truncation orders must be non-negative, got {order}")
+    if m_max is not None and modes is not None:
+        raise ValueError("give m_max (--mmax) or an explicit mode list (--modes), not both")
     if m_max is None:
         m_max = MMAX_TRIPLES if task == "triple" else MMAX_CURVES
     mode_list = list(modes) if modes is not None else g2_modes(m_max)

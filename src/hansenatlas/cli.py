@@ -271,6 +271,9 @@ def _cmd_hansen(args: argparse.Namespace) -> int:
     if len(n_values) != 1 or len(m_values) != 1:
         print("ranges require --table", file=sys.stderr)
         return EXIT_USAGE
+    if args.out or args.format == "csv":
+        print(f"{'--out' if args.out else '--format csv'} requires --table", file=sys.stderr)
+        return EXIT_USAGE
     print(hansen(HansenKey(n_values[0], m_values[0], args.k), args.order, args.method).pretty())
     return 0
 
@@ -353,21 +356,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     if "json" in formats:
         out.write("atlas.json", atlas_json(report))
     if "svg" in formats:
-        curves_by_j: Dict[int, list] = {}
-        intersections = []
-        for entry in report.entries:
-            for j, cs in entry.curves:
-                curves_by_j.setdefault(j, []).extend(cs)
-            intersections.extend(entry.intersections)
-        out.write(
-            "atlas.svg",
-            render_svg(
-                curves_by_j,
-                intersections,
-                report.min_distance,
-                title=f"task={args.task} order=({args.order},{order_e})",
-            ),
-        )
+        out.write("atlas.svg", render_svg(report, f"task={args.task} order=({args.order},{order_e})"))
     out.finish()
     print(f"task={args.task} order=({args.order},{order_e}) grid={args.grid}")
     print(f"modes scanned: {len(report.entries)}")

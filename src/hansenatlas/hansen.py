@@ -12,11 +12,11 @@ The four routes are fully independent and must agree bit-exactly:
   symmetry).
 
 `hansen()` computes every series afresh; there is no result cache.  The routes
-keep their own memos (the Newcomb operator table and Wnuk's per-order
-workspaces), which `clear_caches()` empties.  Every function here is pure
-apart from those memos; the package runs in one thread per process.  Wnuk's
-and Balmino's routes compute on Python ints over one common denominator and
-build each `Fraction` coefficient once.
+keep their own memos (the Newcomb operator table with its tail weights and
+Wnuk's per-order workspaces), which `clear_caches()` empties.  Every function
+here is pure apart from those memos; the package runs in one thread per
+process.  Wnuk's and Balmino's routes compute on Python ints over one common
+denominator and build each `Fraction` coefficient once.
 """
 from __future__ import annotations
 
@@ -507,6 +507,7 @@ def clear_caches() -> None:
     """Empty the route memos, so the next call of each route starts cold."""
     _WNUK_WORKSPACES.clear()
     _NEWCOMB.values.clear()
+    _CHI_CACHE.clear()
 
 
 def hansen_table(

@@ -6,14 +6,14 @@ from typing import Sequence
 
 from .atlas import (
     AtlasReport,
+    CommonZeros,
     IntersectionReport,
-    ModeScanEntry,
     TriangleReport,
     TripleZeroCertificate,
 )
 
 
-def curves_csv(entries: Sequence[ModeScanEntry]) -> str:
+def curves_csv(entries: Sequence[CommonZeros]) -> str:
     """One polyline per block (columns a,e), blocks separated by blank lines."""
     lines = []
     for entry in entries:
@@ -73,7 +73,7 @@ def atlas_json(report: AtlasReport) -> str:
             {
                 "mode": {"m": e.mode.m, "k": e.mode.k},
                 "skipped": e.skipped,
-                "reason": e.reason,
+                "reason": "below visibility order" if e.skipped else "",
                 "curve_counts": {str(j): len(cs) for j, cs in e.curves},
                 "intersections": [_intersection_obj(r) for r in e.intersections],
                 "triangles": [_triangle_obj(t) for t in e.triangles],

@@ -9,10 +9,10 @@ leading version comment.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List
 
 from . import __version__
-from .atlas import IntersectionReport, ZeroCurve
+from .atlas import AtlasReport, ZeroCurve
 
 SIZE = 800
 CURVE_COLORS = {1: "#1f77b4", 2: "#ff7f0e", 3: "#2ca02c"}
@@ -28,12 +28,12 @@ def _y(e: float) -> str:
     return f"{(1.0 - e) * SIZE:.3f}"
 
 
-def render_svg(
-    curves_by_j: Dict[int, Sequence[ZeroCurve]],
-    intersections: Sequence[IntersectionReport] = (),
-    min_distance: Optional[float] = None,
-    title: str = "",
-) -> str:
+def render_svg(report: AtlasReport, title: str = "") -> str:
+    """The report's curves by j, its minimal-distance circle and its intersections."""
+    curves_by_j: Dict[int, List[ZeroCurve]] = {}
+    for entry in report.entries:
+        for j, curves in entry.curves:
+            curves_by_j.setdefault(j, []).extend(curves)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
@@ -52,16 +52,18 @@ def render_svg(
             lines.append(
                 f'<{shape} points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
             )
+    min_distance = report.min_distance
     if min_distance is not None:
         lines.append(
             f'<circle cx="{_x(0.0)}" cy="{_y(0.0)}" r="{min_distance * SIZE:.3f}" '
             'fill="none" stroke="#555555" stroke-width="1" stroke-dasharray="6,4"/>'
         )
-    for rep in intersections:
-        color = PAIR_COLORS.get(tuple(rep.multiples), POINT_COLOR)
-        lines.append(
-            f'<circle cx="{_x(rep.point[0])}" cy="{_y(rep.point[1])}" r="3.5" '
-            f'fill="{color}"/>'
-        )
+    for entry in report.entries:
+        for rep in entry.intersections:
+            color = PAIR_COLORS.get(tuple(rep.multiples), POINT_COLOR)
+            lines.append(
+                f'<circle cx="{_x(rep.point[0])}" cy="{_y(rep.point[1])}" r="3.5" '
+                f'fill="{color}"/>'
+            )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -259,7 +259,7 @@ def test_grid_signs_match_horner_on_order20_surfaces():
     for mode in g2_modes(8):
         for j in (1, 2, 3):
             surf = ModeSurface(mode.multiple(j), (20, 20))
-            signs, settled = surf.poly.grid_signs(ax, ax, surf.series)
+            signs, settled = surf.poly.grid_signs(ax, ax)
             assert settled == 0
             assert np.array_equal(signs, surf.normalized_at(ax[:, None], ax[None, :]) > 0)
 
@@ -277,7 +277,7 @@ def test_grid_signs_settle_uncertain_nodes_exactly(monkeypatch):
         return exact(series, a, e)
 
     monkeypatch.setattr(SeriesAE, "eval_exact", recorded)
-    signs, settled = surf.poly.grid_signs(ax, ax, surf.series)
+    signs, settled = surf.poly.grid_signs(ax, ax)
     assert settled == len(calls) > 0
     index = {float(x): i for i, x in enumerate(ax)}
     for a, e in calls:
@@ -294,7 +294,7 @@ def test_grid_signs_exact_where_powers_underflow():
     # exactly
     ax = grid_axis(16)
     series = SeriesAE({(0, 300): 2**1023, (0, 0): Fraction(-1, 2**180)}, 0, 300)
-    signs, settled = PolyEval(series).grid_signs(ax, ax, series)
+    signs, settled = PolyEval(series).grid_signs(ax, ax)
     assert signs.all()
     assert settled == 16
 
@@ -328,7 +328,7 @@ def near_cancelling_series(draw):
 @settings(max_examples=60, deadline=None)
 def test_grid_signs_are_exact_property(series, grid_n):
     ax = grid_axis(grid_n)
-    signs, _ = PolyEval(series).grid_signs(ax, ax, series)
+    signs, _ = PolyEval(series).grid_signs(ax, ax)
     want = np.array(
         [[series.eval_exact(float(a), float(e)) > 0 for e in ax] for a in ax]
     )
@@ -345,7 +345,6 @@ class PolynomialSurface:
     mode = Mode(9, 9)
 
     def __init__(self, series):
-        self.series = series
         self.order = (series.trunc_a, series.trunc_e)
         self.poly = PolyEval(series)
 
@@ -429,7 +428,7 @@ def test_trace_logs_grid_signs_settled_exactly(caplog, monkeypatch):
     line = SeriesAE({(1, 0): 1, (0, 1): -1}, 1, 1)
     surf = PolynomialSurface(line)
     ax = grid_axis(64)
-    signs, settled = surf.poly.grid_signs(ax, ax, line)
+    signs, settled = surf.poly.grid_signs(ax, ax)
     assert settled == 64
     assert not signs[np.arange(64), np.arange(64)].any()
     with caplog.at_level(logging.INFO, logger="hansenatlas.atlas"):
@@ -442,7 +441,7 @@ def test_trace_logs_grid_signs_settled_exactly(caplog, monkeypatch):
     assert [(len(c.points), c.closed) for c in curves] == [(64, False)]
     # the trace is the one that Horner's signs give
     monkeypatch.setattr(
-        PolyEval, "grid_signs", lambda self, a, e, series: (self.at(a[:, None], e[None, :]) > 0, 0)
+        PolyEval, "grid_signs", lambda self, a, e: (self.at(a[:, None], e[None, :]) > 0, 0)
     )
     assert trace_surface(surf, 64) == curves
 
@@ -456,7 +455,7 @@ def _trace_reference(surf, grid_n, eps=atlas.EPS_CURVE):
     `trace_surface`; on the same signs and the same `atlas._bisect_edges`."""
     mode, order = surf.mode, surf.order
     ax = grid_axis(grid_n)
-    S, _ = surf.poly.grid_signs(ax, ax, surf.series)
+    S, _ = surf.poly.grid_signs(ax, ax)
     a_change = S[:-1, :] != S[1:, :]
     e_change = S[:, :-1] != S[:, 1:]
     ai, aj = np.nonzero(a_change)
@@ -958,19 +957,13 @@ def test_curves_csv_block_structure():
 
 def test_svg_render_structure():
     report = scan_modes((12, 12), m_max=3, task="double", grid_n=64)
-    curves_by_j = {}
-    inters = []
-    for e in report.entries:
-        for j, cs in e.curves:
-            curves_by_j.setdefault(j, []).extend(cs)
-        inters.extend(e.intersections)
-    svg = render_svg(curves_by_j, inters, report.min_distance, title="t")
+    svg = render_svg(report, title="t")
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     assert '<rect width="800"' in svg
     if report.min_distance is not None:
         assert "stroke-dasharray" in svg
-    assert render_svg(curves_by_j, inters, report.min_distance, title="t") == svg
+    assert render_svg(report, title="t") == svg
 
 
 def test_intersection_residuals_are_exact_evaluations():

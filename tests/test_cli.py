@@ -136,6 +136,17 @@ def test_hansen_table_manifest_records_method_and_format(tmp_path, capsys):
     assert manifest["outputs"] == ["hansen_table_k1.csv"]
 
 
+@pytest.mark.parametrize("option", ["--out", "--format csv"])
+def test_hansen_single_key_table_options_usage_error(tmp_path, capsys, option):
+    out_dir = tmp_path / "t"
+    argv = ["--out", str(out_dir)] if option == "--out" else ["--format", "csv"]
+    code, out, err = run(capsys, "hansen", "--n", "2", "--m", "2", "--k", "0", "--order", "7", *argv)
+    assert code == 2
+    assert f"{option} requires --table" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 # -- fourier -----------------------------------------------------------------
 
 
@@ -253,6 +264,22 @@ def test_zeros_explicit_mode_list(tmp_path, capsys):
     )
     assert code == 0
     assert "modes scanned: 2" in out
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_zeros_mmax_with_explicit_modes_usage_error(tmp_path, capsys, source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mmax=1\n")
+    mmax = ["--mmax", "1"] if source == "flag" else ["--config", str(cfg)]
+    out_dir = tmp_path / "zz"
+    code, out, err = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--modes", "2,1", "--grid", "32",
+        *mmax, "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "--mmax" in err and "--modes" in err
+    assert out == ""
+    assert not out_dir.exists()
 
 
 # -- bench ------------------------------------------------------------------------

@@ -374,6 +374,21 @@ def test_newcomb_table_tracks_order_bound():
     assert (2, 1, 3, 2) in tab.values
 
 
+def test_clear_caches_empties_every_route_memo():
+    import importlib
+
+    hansen_module = importlib.import_module("hansenatlas.hansen")
+    hansen_newcomb(2, 1, 3, 12)
+    hansen_wnuk(2, 1, 3, 12)
+    assert hansen_module._CHI_CACHE
+    assert hansen_module._NEWCOMB.values
+    assert hansen_module._WNUK_WORKSPACES
+    hansen_module.clear_caches()
+    assert not hansen_module._CHI_CACHE
+    assert not hansen_module._NEWCOMB.values
+    assert not hansen_module._WNUK_WORKSPACES
+
+
 def test_negative_radius_exponent_with_nonzero_k():
     # the dispatcher accepts these; all three general routes must agree
     from hansenatlas.oracle import oracle_hansen
