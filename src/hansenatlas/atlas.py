@@ -936,8 +936,9 @@ def scan_modes(
     jobs: int = 1,
     modes: Optional[Sequence[Mode]] = None,
 ) -> AtlasReport:
-    """Run one task over every coprime-set mode with |m|+|k| <= m_max, or
-    over `modes` (then `m_max` must not be given and keeps its default).
+    """Run one task over every coprime-set mode with |m|+|k| <= m_max (at
+    least 1), or over `modes`, each at most once (then `m_max` must not be
+    given and keeps its default).
 
     Skips modes whose leading monomial is invisible at this order; `jobs` > 1
     distributes modes over worker processes (results keep the input order).
@@ -948,9 +949,14 @@ def scan_modes(
         raise ValueError(f"truncation orders must be non-negative, got {order}")
     if m_max is not None and modes is not None:
         raise ValueError("give m_max (--mmax) or an explicit mode list (--modes), not both")
+    if m_max is not None and m_max < 1:
+        raise ValueError(f"m_max (--mmax) must be at least 1, got {m_max}")
     if m_max is None:
         m_max = MMAX_TRIPLES if task == "triple" else MMAX_CURVES
     mode_list = list(modes) if modes is not None else g2_modes(m_max)
+    repeated = sorted({mode for mode in mode_list if mode_list.count(mode) > 1})
+    if repeated:
+        raise ValueError(f"modes given more than once (--modes): {', '.join(map(str, repeated))}")
     args = [(mode, task, order, grid_n) for mode in mode_list]
     if jobs > 1 and len(args) > 1:
         import multiprocessing as mp

@@ -16,7 +16,8 @@ is an option's dest or flag spelling, and an option taking several values
 takes them whitespace-separated (`eval=0.3 0.1`).  Any other key, a wrong
 number of values, a value outside the option's choices, a boolean other than
 1/0/true/false/yes/no and an unknown name in `zeros --formats` are usage
-errors, and so is a negative truncation order.  HANSENATLAS_JOBS sets the
+errors, and so are a negative truncation order, `zeros --mmax` below 1 and a
+mode given twice in `zeros --modes`.  HANSENATLAS_JOBS sets the
 default worker count; a value of it (under any subcommand) or of `--jobs`
 that is not an integer >= 1 is a usage error too.  With --out DIR all
 artifacts land in DIR together with a manifest.json naming the inputs,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Rational, binomial_general, rational, rational_str
-from .hansen import HansenKey, hansen
+from .hansen import HansenKey, hansen, hansen_wnuk_column
 from .series import SeriesAE
 
 log = logging.getLogger("hansenatlas.fourier")
@@ -93,9 +93,16 @@ def _assemble(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
         scale = -1
     else:
         scale = -2
-    for n in range(mstar, trunc_a + 1, 2):
+    ns = range(mstar, trunc_a + 1, 2)
+    key = HansenKey(mstar, m, k).canonical()
+    if key.k:
+        # `hansen`'s auto route for k != 0 (Wnuk's), one column for every n;
+        # canonicalizing flips m and k alike for every n
+        column = hansen_wnuk_column(ns, key.m, key.k, trunc_e)
+    else:
+        column = [hansen(HansenKey(n, m, k), trunc_e) for n in ns]
+    for n, x in zip(ns, column):
         weight = scale * legendre_weight(n, m)
-        x = hansen(HansenKey(n, m, k), trunc_e)
         for q, v in x.c.items():
             terms[(n, q)] = weight * v
     return SeriesAE(terms, trunc_a, trunc_e)

@@ -6,7 +6,9 @@ The four routes are fully independent and must agree bit-exactly:
   X_0^{-(n+1),m} and the recursions seeded from the closed form),
 * diagonal sums of Newcomb operators,
 * a Bessel-function expansion in beta = e/(1+sqrt(1-e^2)) (Wnuk's route,
-  the default for bulk work with k != 0),
+  the default for bulk work with k != 0), computed a column at a time:
+  `hansen_wnuk_column` returns X_k^{n,m} for many n at fixed (m, k) from one
+  walk of a three-term recursion in n, and `hansen_wnuk` is its one-n form,
 * a closed multiple-sum expansion in powers of e/2 (Balmino's route, valid
   for k - m >= 0; other keys are reached through the X_k^{n,m} = X_{-k}^{n,-m}
   symmetry).
@@ -24,7 +26,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exact import (
     Rational,
@@ -259,15 +261,32 @@ def hansen_newcomb(n: int, m: int, k: int, trunc: int) -> SeriesE:
 # Wnuk's route (Bessel functions of k e and powers of beta)
 # ---------------------------------------------------------------------------
 #
-# Internals run on Python ints in u = e/2, as dense half-index lists:
+# Wnuk's expansion is
+#     X_k^{n,m} = (1+beta^2)^{-(n+1)} [z^{k-m}] (1-beta z)^{n-m+1} (1-beta/z)^{n+m+1} J(z),
+# with J(z) = sum_t J_t(k e) z^t.  Since u = e/2 = beta/(1+beta^2),
+# (1-beta z)(1-beta/z) = (1+beta^2)(1-u(z+1/z)), and with p = |m|, s = sgn(m)
+# and a = n-p+1 the expansion becomes
+#     X_k^{n,m} = (1+beta^2)^{-p} sum_{j=0}^{2p} C(2p, j) (-beta)^j R^{(a)}_{k-m+s j},
+#     R^{(a)}(z) = (1 - u(z+1/z))^a J(z).
+# R^{(0)}_d = J_d(k e), with J_{-d} = (-1)^d J_d, and one step up in a is
+#     R^{(a+1)}_d = R^{(a)}_d - u (R^{(a)}_{d-1} + R^{(a)}_{d+1}),
+# a three-term recursion in n at fixed (m, k), so `hansen_wnuk_column` walks
+# it once for a whole column of n.  Going up, it keeps only the d within reach
+# of the 2p+1 indices it extracts at the top a, a window that narrows by one
+# on each side per step.  For a < 0 (n < p-1) the step runs downward,
+#     R^{(a-1)}_d = R^{(a)}_d + u (R^{(a-1)}_{d-1} + R^{(a-1)}_{d+1}),
+# solved on |d| <= trunc entry by entry.
+#
+# Internals run on Python ints in u, as dense half-index lists:
 # [c_0, c_1, ...] stands for sum_i c_i u^{lo+2i}, with lo fixed by context.
-# Every quantity in this route has fixed parity (beta^j, J_t(ke), the
-# E-factors and the result itself).  With Catalan's C(x) = sum_i Cat_i x^i,
+# Each u-power in R^{(a)}_d is at least |d| and of the parity of d, so its list
+# has lo = |d|: in a step, the neighbour nearer d = 0 shares R_d's index and
+# the farther one enters one index later.  With Catalan's C(x) = sum_i Cat_i x^i,
 # beta = u C(u^2) and 1 + beta^2 = C(u^2), so (1+beta^2)^{-1} = 1 - u^2 C(u^2):
-# their powers and the E-factors have integer coefficients.  J_t(ke) =
-# sum_s (-1)^s k^{t+2s} u^{t+2s} / (s!(t+s)!) is held times N!, N the order,
-# since s!(t+s)! divides (t+2s)!, which divides N!.  The sum R(u) is therefore
-# an integer list, and its e^q coefficient is R_q / (N! 2^q).
+# their powers have integer coefficients.  J_t(ke) = sum_s (-1)^s k^{t+2s}
+# u^{t+2s} / (s!(t+s)!) is held times N!, N the order, since s!(t+s)! divides
+# (t+2s)!, which divides N!.  Every list is therefore an integer list, and the
+# e^q coefficient of a result is its u^q entry over N! 2^q.
 
 
 def _dmul(a: List[int], b: List[int], length: int) -> List[int]:
@@ -294,20 +313,16 @@ class _WnukWorkspace:
         for j in range(2, trunc + 1):
             pows.append(_dmul(pows[j - 1], b1, (trunc - j) // 2 + 1))
         self.beta_pows = pows
-        self._base = catalan
         self._inv = [1] + [-c for c in catalan[:-1]]
-        self._pow_cache: Dict[int, List[int]] = {0: [1]}
+        self._inv_pows: List[List[int]] = [[1]]
         self._bessel: Dict[Tuple[int, int], List[int]] = {}
 
-    def one_plus_beta2_pow(self, p: int) -> List[int]:
-        """(1 + beta^2)^p as an even dense list."""
-        v = self._pow_cache.get(p)
-        if v is None:
-            step = self._base if p > 0 else self._inv
-            prev = self.one_plus_beta2_pow(p - 1 if p > 0 else p + 1)
-            v = _dmul(prev, step, self.trunc // 2 + 1)
-            self._pow_cache[p] = v
-        return v
+    def inv_pow(self, p: int) -> List[int]:
+        """(1 + beta^2)^{-p} for p >= 0 as an even dense list."""
+        pows = self._inv_pows
+        while len(pows) <= p:
+            pows.append(_dmul(pows[-1], self._inv, self.trunc // 2 + 1))
+        return pows[p]
 
     def bessel(self, t: int, k: int) -> List[int]:
         """N! J_t(k e) with t >= 0 as a dense list over (q - t)/2, in u."""
@@ -336,69 +351,115 @@ def _workspace(trunc: int) -> _WnukWorkspace:
     return ws
 
 
-def _wnuk_e_factor(ws: _WnukWorkspace, n: int, m: int, d: int) -> List[int]:
-    """E_d^{n,m} as a dense list with lo = |d|, in u.
+def _wnuk_step_up(rows: Dict[int, List[int]], lo: int, hi: int) -> Dict[int, List[int]]:
+    """R^{(a+1)}_d = R_d - u (R_{d-1} + R_{d+1}) for lo <= d <= hi.
 
-    E_d = (-beta)^{d} sum_s C(n-m+1, d+s) C(n+m+1, s) beta^{2s}        (d >= 0)
-        = (-beta)^{-d} sum_s C(n+m+1, -d+s) C(n-m+1, s) beta^{2s}      (d < 0)
+    `rows` holds R^{(a)} on lo-1..hi+1 wherever |d| <= trunc; a row past the
+    truncation is zero, and it is missing only beside a row of length 1.
     """
-    ad = abs(d)
-    trunc = ws.trunc
-    if ad > trunc:
-        return []
-    length = (trunc - ad) // 2 + 1
-    out = [0] * length
-    beta_pows = ws.beta_pows
-    for s in range(length):
-        if d >= 0:
-            c = binomial_general(n - m + 1, d + s) * binomial_general(n + m + 1, s)
+    out = {}
+    for d in range(lo, hi + 1):
+        cur = rows[d]
+        if d:
+            step = 1 if d > 0 else -1
+            near, far = rows[d - step], rows.get(d + step, ())
         else:
-            c = binomial_general(n + m + 1, -d + s) * binomial_general(n - m + 1, s)
-        if not c:
-            continue
-        if ad % 2:
-            c = -c
-        for i, v in enumerate(beta_pows[ad + 2 * s][: length - s], s):
-            out[i] += c * v
+            near, far = [0] + rows.get(-1, []), rows.get(1, ())
+        out[d] = [cur[0] - near[0]] + [c - b - f for c, b, f in zip(cur[1:], near[1:], far)]
     return out
 
 
-def hansen_wnuk(n: int, m: int, k: int, trunc: int) -> SeriesE:
-    """X_k^{n,m} = (1+beta^2)^{-(n+1)} sum_t E_{k-t-m}^{n,m} J_t(k e)."""
-    ws = _workspace(trunc)
+def _wnuk_step_down(rows: Dict[int, List[int]], trunc: int) -> Dict[int, List[int]]:
+    """R^{(a-1)} from R^{(a)} = `rows` on |d| <= trunc, by
+    R^{(a-1)}_d = R_d + u (R^{(a-1)}_{d-1} + R^{(a-1)}_{d+1}).
+
+    Entries are solved in order of index, then of |d|: the neighbour nearer
+    d = 0 enters at the same index and the farther one at the index below, so
+    both are known when an entry is solved.
+    """
+    out = {d: list(rows[d]) for d in range(-trunc, trunc + 1)}
+    by_distance = sorted(out, key=abs)
+    for i in range(trunc // 2 + 1):
+        for d in by_distance:
+            row = out[d]
+            if i >= len(row):
+                break
+            if d:
+                step = 1 if d > 0 else -1
+                row[i] += out[d - step][i]
+                if i:
+                    row[i] += out[d + step][i - 1]
+            elif i:
+                row[i] += out[-1][i - 1] + out[1][i - 1]
+    return out
+
+
+def _wnuk_extract(ws: _WnukWorkspace, rows: Dict[int, List[int]], m: int, k: int) -> SeriesE:
+    """(1+beta^2)^{-|m|} sum_j C(2|m|, j) (-beta)^j R_{k-m+sgn(m) j} as an exact series."""
+    trunc = ws.trunc
+    p = abs(m)
+    step = -1 if m < 0 else 1
     d0 = k - m
     ad0 = abs(d0)
-    if ad0 > trunc:
-        return SeriesE.zero(trunc)
-    if k == 0:
-        t_values = [0]
-    else:
-        spread = (trunc - ad0) // 2
-        t_values = list(range(min(0, d0) - spread, max(0, d0) + spread + 1))
-    acc_len = (trunc - ad0) // 2 + 1
-    acc = [0] * acc_len
-    for t in t_values:
-        d = d0 - t
-        order0 = abs(d) + abs(t)
+    size = (trunc - ad0) // 2 + 1
+    acc = [0] * size
+    for j in range(2 * p + 1):
+        d = d0 + step * j
+        order0 = j + abs(d)
         if order0 > trunc:
-            continue
-        jt = ws.bessel(abs(t), k)
-        if not jt:
-            continue
-        e_fac = _wnuk_e_factor(ws, n, m, d)
-        if not e_fac:
-            continue
-        prod = _dmul(e_fac, jt, (trunc - order0) // 2 + 1)
-        if t < 0 and t % 2:
-            prod = [-v for v in prod]
-        for i, v in enumerate(prod, (order0 - ad0) // 2):
-            acc[i] += v
-    result = _dmul(acc, ws.one_plus_beta2_pow(-(n + 1)), acc_len)
+            break  # order0 never decreases with j
+        c = -math.comb(2 * p, j) if j % 2 else math.comb(2 * p, j)
+        row = _dmul(ws.beta_pows[j], rows[d], (trunc - order0) // 2 + 1) if j else rows[d]
+        for i, v in enumerate(row, (order0 - ad0) // 2):
+            acc[i] += c * v
+    if p:
+        acc = _dmul(acc, ws.inv_pow(p), size)
     scale = ws.factorials[trunc]
-    coeffs = {
-        ad0 + 2 * i: rational(v, scale << (ad0 + 2 * i)) for i, v in enumerate(result) if v
-    }
+    coeffs = {ad0 + 2 * i: rational(v, scale << (ad0 + 2 * i)) for i, v in enumerate(acc) if v}
     return SeriesE(coeffs, trunc, _raw=True)
+
+
+def hansen_wnuk_column(ns: Sequence[int], m: int, k: int, trunc: int) -> List[SeriesE]:
+    """X_k^{n,m} for every n of `ns`, in its order, from one walk of the recursion in n.
+
+    `ns` may be unsorted and hold repeats and any integers; a repeated n gets
+    the same series object.
+    """
+    ws = _workspace(trunc)
+    d0 = k - m
+    if abs(d0) > trunc:
+        return [SeriesE.zero(trunc) for _ in ns]
+    p = abs(m)
+    wanted = {n - p + 1 for n in ns}
+    if not wanted:
+        return []
+    top = max(max(wanted), 0)
+    # going up, a = top reads R^{(0)} on k-p-top..k+p+top; going down, every |d| <= trunc
+    lo, hi = (-trunc, trunc) if min(wanted) < 0 else (k - p - top, k + p + top)
+    base = {}
+    for d in range(max(lo, -trunc), min(hi, trunc) + 1):
+        row = ws.bessel(abs(d), k)
+        row = row + [0] * ((trunc - abs(d)) // 2 + 1 - len(row))
+        base[d] = [-v for v in row] if d < 0 and d % 2 else row
+    found: Dict[int, SeriesE] = {}
+    rows = base
+    for a in range(top + 1):
+        if a:
+            reach = top - a
+            rows = _wnuk_step_up(rows, max(k - p - reach, -trunc), min(k + p + reach, trunc))
+        if a in wanted:
+            found[a] = _wnuk_extract(ws, rows, m, k)
+    rows = base
+    for a in range(-1, min(wanted) - 1, -1):
+        rows = _wnuk_step_down(rows, trunc)
+        if a in wanted:
+            found[a] = _wnuk_extract(ws, rows, m, k)
+    return [found[n - p + 1] for n in ns]
+
+
+def hansen_wnuk(n: int, m: int, k: int, trunc: int) -> SeriesE:
+    """X_k^{n,m} by Wnuk's route: the one-n form of `hansen_wnuk_column`."""
+    return hansen_wnuk_column([n], m, k, trunc)[0]
 
 
 # ---------------------------------------------------------------------------

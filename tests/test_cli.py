@@ -282,6 +282,39 @@ def test_zeros_mmax_with_explicit_modes_usage_error(tmp_path, capsys, source):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("mmax", ["0", "-2"])
+def test_zeros_mmax_below_one_usage_error(tmp_path, capsys, source, mmax):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mmax={mmax}\n")
+    given = ["--mmax", mmax] if source == "flag" else ["--config", str(cfg)]
+    out_dir = tmp_path / "zz"
+    code, out, err = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--grid", "32", *given,
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    assert f"usage error: m_max (--mmax) must be at least 1, got {mmax}" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_zeros_repeated_mode_usage_error(tmp_path, capsys, source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("modes=1,2;2,1;1,2\n")
+    given = ["--modes", "1,2;2,1;1,2"] if source == "flag" else ["--config", str(cfg)]
+    out_dir = tmp_path / "zz"
+    code, out, err = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--grid", "32", *given,
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "usage error: modes given more than once (--modes): (1,2)" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 # -- bench ------------------------------------------------------------------------
 
 

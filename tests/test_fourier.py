@@ -152,6 +152,34 @@ def test_cache_serves_crossed_orders(monkeypatch):
     clear_fourier_cache()
 
 
+def test_assemble_makes_one_column_call_per_mode(monkeypatch):
+    from hansenatlas import fourier
+    from hansenatlas.hansen import HansenKey
+
+    column, dispatch = fourier.hansen_wnuk_column, fourier.hansen
+    columns, keys = [], []
+
+    def counting_column(ns, m, k, trunc):
+        columns.append((tuple(ns), m, k, trunc))
+        return column(ns, m, k, trunc)
+
+    def counting_hansen(key, trunc, method="auto"):
+        keys.append(key)
+        return dispatch(key, trunc, method)
+
+    monkeypatch.setattr(fourier, "hansen_wnuk_column", counting_column)
+    monkeypatch.setattr(fourier, "hansen", counting_hansen)
+    for j in (1, 2, 3):
+        fourier._assemble(Mode(5 * j, -2 * j), 60, 60)
+    # canonical keys X_{2j}^{n,-5j}: one column of n = 5j, 5j+2, ... per mode
+    assert columns == [(tuple(range(5 * j, 61, 2)), -5 * j, 2 * j, 60) for j in (1, 2, 3)]
+    assert keys == []
+    columns.clear()
+    fourier._assemble(Mode(2, 0), 60, 60)
+    assert columns == []
+    assert keys == [HansenKey(n, 2, 0) for n in range(2, 61, 2)]
+
+
 # -- asymptotic coefficients --------------------------------------------------------
 
 

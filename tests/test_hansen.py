@@ -21,6 +21,8 @@ from hansenatlas.hansen import (
     hansen_nmk,
     hansen_table,
     hansen_wnuk,
+    hansen_wnuk_column,
+    _workspace,
 )
 from hansenatlas.series import SeriesE, sqrt_one_minus_e2
 
@@ -166,6 +168,130 @@ def test_wnuk_zero_for_n0_m0():
     # (r/a)^0 e^{i0f} = 1 has a single Fourier mode in the mean anomaly
     for k in (1, 2, 5, 10):
         assert hansen_wnuk(0, 0, k, 14).is_zero()
+
+
+def _dmul_reference(a, b, length):
+    out = [0] * length
+    for i, ca in enumerate(a[:length]):
+        if ca:
+            for j, cb in enumerate(b[: length - i], i):
+                out[j] += ca * cb
+    return out
+
+
+def _one_plus_beta2_pow(ws, p):
+    """(1+beta^2)^p as an even dense list in u = e/2, for p of either sign."""
+    # beta^2 = C(u^2) - 1 with Catalan's C(x), and 1/C(x) = 1 - x C(x)
+    base = [1] + (ws.beta_pows[2] if ws.trunc >= 2 else [])
+    if p < 0:
+        base = [1] + [-c for c in base[:-1]]
+    out = [1]
+    for _ in range(abs(p)):
+        out = _dmul_reference(out, base, ws.trunc // 2 + 1)
+    return out
+
+
+def _wnuk_e_factor(ws, n, m, d):
+    """E_d^{n,m} as a dense list with lo = |d|, in u.
+
+    E_d = (-beta)^{d} sum_s C(n-m+1, d+s) C(n+m+1, s) beta^{2s}        (d >= 0)
+        = (-beta)^{-d} sum_s C(n+m+1, -d+s) C(n-m+1, s) beta^{2s}      (d < 0)
+    """
+    ad = abs(d)
+    trunc = ws.trunc
+    if ad > trunc:
+        return []
+    length = (trunc - ad) // 2 + 1
+    out = [0] * length
+    beta_pows = ws.beta_pows
+    for s in range(length):
+        if d >= 0:
+            c = binomial_general(n - m + 1, d + s) * binomial_general(n + m + 1, s)
+        else:
+            c = binomial_general(n + m + 1, -d + s) * binomial_general(n - m + 1, s)
+        if not c:
+            continue
+        if ad % 2:
+            c = -c
+        for i, v in enumerate(beta_pows[ad + 2 * s][: length - s], s):
+            out[i] += c * v
+    return out
+
+
+def _wnuk_reference(n, m, k, trunc):
+    """X_k^{n,m} = (1+beta^2)^{-(n+1)} sum_t E_{k-t-m}^{n,m} J_t(k e), one t at a time."""
+    ws = _workspace(trunc)
+    d0 = k - m
+    ad0 = abs(d0)
+    if ad0 > trunc:
+        return SeriesE.zero(trunc)
+    if k == 0:
+        t_values = [0]
+    else:
+        spread = (trunc - ad0) // 2
+        t_values = list(range(min(0, d0) - spread, max(0, d0) + spread + 1))
+    acc_len = (trunc - ad0) // 2 + 1
+    acc = [0] * acc_len
+    for t in t_values:
+        d = d0 - t
+        order0 = abs(d) + abs(t)
+        if order0 > trunc:
+            continue
+        jt = ws.bessel(abs(t), k)
+        if not jt:
+            continue
+        e_fac = _wnuk_e_factor(ws, n, m, d)
+        if not e_fac:
+            continue
+        prod = _dmul_reference(e_fac, jt, (trunc - order0) // 2 + 1)
+        if t < 0 and t % 2:
+            prod = [-v for v in prod]
+        for i, v in enumerate(prod, (order0 - ad0) // 2):
+            acc[i] += v
+    result = _dmul_reference(acc, _one_plus_beta2_pow(ws, -(n + 1)), acc_len)
+    scale = ws.factorials[trunc]
+    coeffs = {
+        ad0 + 2 * i: rational(v, scale << (ad0 + 2 * i)) for i, v in enumerate(result) if v
+    }
+    return SeriesE(coeffs, trunc, _raw=True)
+
+
+def _assert_wnuk_is_reference(n, m, k, trunc):
+    got = hansen_wnuk(n, m, k, trunc)
+    ref = _wnuk_reference(n, m, k, trunc)
+    assert got == ref, (n, m, k, trunc)
+    assert got.c == ref.c and all(type(v) is Fraction for v in got.c.values())
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 5, 12, 20])
+def test_wnuk_equals_t_sum_reference(trunc):
+    # the box holds k = 0, negative k and n, and a = n-|m|+1 < 0 (downward steps)
+    for n in range(-4, 9):
+        for m in range(-4, 5):
+            for k in range(-7, 8):
+                _assert_wnuk_is_reference(n, m, k, trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-6, 14), st.integers(-6, 6), st.integers(-12, 12), st.integers(0, 24)
+)
+def test_wnuk_equals_t_sum_reference_property(n, m, k, trunc):
+    _assert_wnuk_is_reference(n, m, k, trunc)
+
+
+def test_wnuk_column_equals_per_n_calls():
+    # unsorted, with repeats, and with n on both sides of |m|-1 (a < 0 and a >= 0)
+    ns = [7, -3, 2, 7, 0, -3, 11, 4, 1]
+    for m, k in [(4, 3), (-4, 3), (2, -5), (-1, 1), (0, 6), (3, 0)]:
+        for trunc in (0, 5, 16):
+            column = hansen_wnuk_column(ns, m, k, trunc)
+            assert len(column) == len(ns)
+            for n, series in zip(ns, column):
+                assert series == hansen_wnuk(n, m, k, trunc), (n, m, k, trunc)
+                assert series == _wnuk_reference(n, m, k, trunc), (n, m, k, trunc)
+    assert hansen_wnuk_column([], 2, 3, 10) == []
+    assert hansen_wnuk_column(ns, 0, 30, 12) == [SeriesE.zero(12)] * len(ns)
 
 
 def test_wnuk_equals_newcomb_at_order_60():
