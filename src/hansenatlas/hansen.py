@@ -419,6 +419,17 @@ def _wnuk_extract(ws: _WnukWorkspace, rows: Dict[int, List[int]], m: int, k: int
     return SeriesE(coeffs, trunc, _raw=True)
 
 
+def _wnuk_bessel_rows(ws: _WnukWorkspace, k: int, lo: int, hi: int) -> Dict[int, List[int]]:
+    """R^{(0)}_d = N! J_d(k e) for lo <= d <= hi and |d| <= trunc, each at its full length."""
+    trunc = ws.trunc
+    rows = {}
+    for d in range(max(lo, -trunc), min(hi, trunc) + 1):
+        row = ws.bessel(abs(d), k)
+        row = row + [0] * ((trunc - abs(d)) // 2 + 1 - len(row))
+        rows[d] = [-v for v in row] if d < 0 and d % 2 else row
+    return rows
+
+
 def hansen_wnuk_column(ns: Sequence[int], m: int, k: int, trunc: int) -> List[SeriesE]:
     """X_k^{n,m} for every n of `ns`, in its order, from one walk of the recursion in n.
 
@@ -426,32 +437,26 @@ def hansen_wnuk_column(ns: Sequence[int], m: int, k: int, trunc: int) -> List[Se
     the same series object.
     """
     ws = _workspace(trunc)
-    d0 = k - m
-    if abs(d0) > trunc:
+    if abs(k - m) > trunc:
         return [SeriesE.zero(trunc) for _ in ns]
     p = abs(m)
     wanted = {n - p + 1 for n in ns}
     if not wanted:
         return []
-    top = max(max(wanted), 0)
-    # going up, a = top reads R^{(0)} on k-p-top..k+p+top; going down, every |d| <= trunc
-    lo, hi = (-trunc, trunc) if min(wanted) < 0 else (k - p - top, k + p + top)
-    base = {}
-    for d in range(max(lo, -trunc), min(hi, trunc) + 1):
-        row = ws.bessel(abs(d), k)
-        row = row + [0] * ((trunc - abs(d)) // 2 + 1 - len(row))
-        base[d] = [-v for v in row] if d < 0 and d % 2 else row
     found: Dict[int, SeriesE] = {}
-    rows = base
+    bottom, top = min(wanted), max(max(wanted), 0)
+    if bottom < 0:
+        rows = _wnuk_bessel_rows(ws, k, -trunc, trunc)
+        for a in range(-1, bottom - 1, -1):
+            rows = _wnuk_step_down(rows, trunc)
+            if a in wanted:
+                found[a] = _wnuk_extract(ws, rows, m, k)
+    # from a = 0 up to top, R_d is needed within top - a of the extracted k-p..k+p
+    rows = _wnuk_bessel_rows(ws, k, k - p - top, k + p + top)
     for a in range(top + 1):
         if a:
             reach = top - a
             rows = _wnuk_step_up(rows, max(k - p - reach, -trunc), min(k + p + reach, trunc))
-        if a in wanted:
-            found[a] = _wnuk_extract(ws, rows, m, k)
-    rows = base
-    for a in range(-1, min(wanted) - 1, -1):
-        rows = _wnuk_step_down(rows, trunc)
         if a in wanted:
             found[a] = _wnuk_extract(ws, rows, m, k)
     return [found[n - p + 1] for n in ns]
