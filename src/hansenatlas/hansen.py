@@ -363,9 +363,10 @@ def _wnuk_step_up(rows: Dict[int, List[int]], lo: int, hi: int) -> Dict[int, Lis
         if d:
             step = 1 if d > 0 else -1
             near, far = rows[d - step], rows.get(d + step, ())
-        else:
-            near, far = [0] + rows.get(-1, []), rows.get(1, ())
-        out[d] = [cur[0] - near[0]] + [c - b - f for c, b, f in zip(cur[1:], near[1:], far)]
+            out[d] = [cur[0] - near[0]] + [c - b - f for c, b, f in zip(cur[1:], near[1:], far)]
+        else:  # both neighbours lie farther from 0
+            left, right = rows.get(-1, ()), rows.get(1, ())
+            out[d] = [cur[0]] + [c - b - f for c, b, f in zip(cur[1:], left, right)]
     return out
 
 
