@@ -385,9 +385,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("empty method list", file=sys.stderr)
         return EXIT_USAGE
     valid = set(METHODS) - {"auto"}
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in valid:
             print(f"unknown method {m!r}", file=sys.stderr)
+            return EXIT_USAGE
+        if m in methods[:i]:
+            print(f"method {m!r} named twice", file=sys.stderr)
             return EXIT_USAGE
     keys = [
         (n, m, k)
@@ -421,7 +424,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_DISAGREEMENT
-    print(f"equality verified on {len(keys)} keys at order {args.order}")
+    if len(methods) > 1:
+        print(f"equality verified on {len(keys)} keys at order {args.order}")
     for meth in methods:
         t = elapsed[meth]
         print(f"{meth:>8}: {t:.3f} s ({1000.0 * t / len(keys):.2f} ms/key)")

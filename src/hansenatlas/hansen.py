@@ -17,8 +17,8 @@ The four routes are fully independent and must agree bit-exactly:
 keep their own memos (the Newcomb operator table with its tail weights and
 Wnuk's per-order workspaces), which `clear_caches()` empties.  Every function
 here is pure apart from those memos; the package runs in one thread per
-process.  Wnuk's and Balmino's routes compute on Python ints over one common
-denominator and build each `Fraction` coefficient once.
+process.  Newcomb's, Wnuk's and Balmino's routes compute on Python ints over
+common denominators and build each `Fraction` coefficient once.
 """
 from __future__ import annotations
 
@@ -28,13 +28,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import (
-    Rational,
-    binomial_general,
-    binomial_rational,
-    pochhammer,
-    rational,
-)
+from .exact import Rational, binomial_general, pochhammer, rational
 from .series import SeriesE, sqrt_one_minus_e2
 
 log = logging.getLogger("hansenatlas.hansen")
@@ -177,68 +171,79 @@ def hansen_k0_negative(n: int, m: int, trunc: int) -> SeriesE:
 # Newcomb operators
 # ---------------------------------------------------------------------------
 
-_CHI_CACHE: Dict[int, Rational] = {}
+_CHI_CACHE: Dict[Tuple[int, int], List[int]] = {}
 
 
-def _chi(j: int) -> Rational:
-    """(-1)^j C(3/2, j), the tail weights of the sigma-recursion."""
-    v = _CHI_CACHE.get(j)
-    if v is None:
-        v = binomial_rational(rational(3, 2), j)
-        if j % 2:
-            v = -v
-        _CHI_CACHE[j] = v
-    return v
+def _tail_weights(rho: int, sigma: int) -> List[int]:
+    """w_j for j = 2..min(rho, sigma), the integer tail weights of the sigma-recursion."""
+    w = _CHI_CACHE.get((rho, sigma))
+    if w is None:
+        w, c = [], -6  # c = (-1)^j prod_{i<j} (3-2i) 2^(3j-2), from j = 1
+        for j in range(2, min(rho, sigma) + 1):
+            c *= 8 * (2 * j - 5)
+            w.append(c * math.comb(rho, j) * math.perm(sigma - 1, j - 1))
+        _CHI_CACHE[(rho, sigma)] = w
+    return w
 
 
 class NewcombTable:
-    """Memoized Newcomb operators X_{rho,sigma}^{n,m}.
+    """Memoized Newcomb operators X_{rho,sigma}^{n,m}, held as the integers
+    Y_{rho,sigma}^{n,m} = 4^(rho+sigma) rho! sigma! X_{rho,sigma}^{n,m}.
 
-    Seeds: X_{0,0}^{n,m} = 1 and zero whenever rho or sigma is negative.
-    For sigma = 0:
-        4 rho X_{rho,0}^{n,m} = 2(2m-n) X_{rho-1,0}^{n,m+1} + (m-n) X_{rho-2,0}^{n,m+2}
-    and for sigma != 0:
-        4 sigma X_{rho,sigma}^{n,m} = -2(2m+n) X_{rho,sigma-1}^{n,m-1}
-            - (m+n) X_{rho,sigma-2}^{n,m-2}
-            - (rho - 5 sigma + 4 + 4m + n) X_{rho-1,sigma-1}^{n,m}
-            + 2(rho - sigma + m) sum_{j>=2} (-1)^j C(3/2, j) X_{rho-j,sigma-j}^{n,m}.
+    Seeds: Y_{0,0}^{n,m} = 1 and zero whenever rho or sigma is negative.  With
+    the superscript n left implicit, for sigma = 0
+        Y_{rho,0}^m = 2(2m-n) Y_{rho-1,0}^{m+1} + 4(rho-1)(m-n) Y_{rho-2,0}^{m+2},
+    and for sigma != 0
+        Y_{rho,sigma}^m = -2(2m+n) Y_{rho,sigma-1}^{m-1} - 4(sigma-1)(m+n) Y_{rho,sigma-2}^{m-2}
+            - 4 rho (rho - 5 sigma + 4 + 4m + n) Y_{rho-1,sigma-1}^m
+            + 2(rho - sigma + m) sum_{j>=2} w_j Y_{rho-j,sigma-j}^m.
+    These are Newcomb's recursions for 4 rho X_{rho,0} and 4 sigma X_{rho,sigma}
+    times 4^(rho+sigma-1) (rho-1)! and 4^(rho+sigma-1) rho! (sigma-1)!.  Their
+    tail weight is chi_j = (-1)^j C(3/2, j) = (-1)^j prod_{i<j} (3-2i) / (2^j j!), so
+        w_j = chi_j 4^(2j-1) rho!/(rho-j)! (sigma-1)!/(sigma-j)!
+            = (-1)^j prod_{i<j} (3-2i) 2^(3j-2) C(rho, j) (sigma-1)!/(sigma-j)!
+    is an integer.  `values` memoizes Y; `value` returns X.
     """
 
     def __init__(self) -> None:
-        self.values: Dict[Tuple[int, int, int, int], Rational] = {}
+        self.values: Dict[Tuple[int, int, int, int], int] = {}
 
-    def value(self, n: int, m: int, rho: int, sigma: int) -> Rational:
+    def scaled(self, n: int, m: int, rho: int, sigma: int) -> int:
+        """Y_{rho,sigma}^{n,m} = 4^(rho+sigma) rho! sigma! X_{rho,sigma}^{n,m}."""
         if rho < 0 or sigma < 0:
-            return rational(0)
+            return 0
         key = (n, m, rho, sigma)
         v = self.values.get(key)
         if v is not None:
             return v
-        if rho == 0 and sigma == 0:
-            v = rational(1)
-        elif sigma == 0:
-            v = (
-                2 * (2 * m - n) * self.value(n, m + 1, rho - 1, 0)
-                + (m - n) * self.value(n, m + 2, rho - 2, 0)
-            ) / (4 * rho)
+        y = self.scaled
+        if sigma == 0:
+            v = 1 if rho == 0 else (
+                2 * (2 * m - n) * y(n, m + 1, rho - 1, 0)
+                + 4 * (rho - 1) * (m - n) * y(n, m + 2, rho - 2, 0)
+            )
         else:
-            acc = (
-                -2 * (2 * m + n) * self.value(n, m - 1, rho, sigma - 1)
-                - (m + n) * self.value(n, m - 2, rho, sigma - 2)
-                - (rho - 5 * sigma + 4 + 4 * m + n)
-                * self.value(n, m, rho - 1, sigma - 1)
+            v = (
+                -2 * (2 * m + n) * y(n, m - 1, rho, sigma - 1)
+                - 4 * (sigma - 1) * (m + n) * y(n, m - 2, rho, sigma - 2)
+                - 4 * rho * (rho - 5 * sigma + 4 + 4 * m + n) * y(n, m, rho - 1, sigma - 1)
             )
             factor = 2 * (rho - sigma + m)
             if factor:
-                tail = rational(0)
-                for j in range(2, min(rho, sigma) + 1):
-                    term = self.value(n, m, rho - j, sigma - j)
-                    if term:
-                        tail += _chi(j) * term
-                acc += factor * tail
-            v = acc / (4 * sigma)
+                tail = sum(
+                    w * y(n, m, rho - j, sigma - j)
+                    for j, w in enumerate(_tail_weights(rho, sigma), 2)
+                )
+                v += factor * tail
         self.values[key] = v
         return v
+
+    def value(self, n: int, m: int, rho: int, sigma: int) -> Rational:
+        """The Newcomb operator X_{rho,sigma}^{n,m}."""
+        if rho < 0 or sigma < 0:
+            return rational(0)
+        scale = math.factorial(rho) * math.factorial(sigma) << 2 * (rho + sigma)
+        return rational(self.scaled(n, m, rho, sigma), scale)
 
 
 _NEWCOMB = NewcombTable()
@@ -588,13 +593,17 @@ def hansen_table(
     """Rows n, columns m table of X_k^{n,m} at one truncation order.
 
     `fmt` is "text" (aligned columns) or "csv"; coefficients stay exact.
+    Wnuk's route (`wnuk`, or `auto` with k != 0) computes a column per call.
     """
     header = ["n"] + [f"X^(n,{m})_{k}" for m in m_values]
-    rows = [
-        [str(n)]
-        + [hansen(HansenKey(n, m, k), trunc, method).pretty() for m in m_values]
-        for n in n_values
-    ]
+    columns = []
+    for m in m_values:
+        if method == "wnuk" or (method == "auto" and k != 0):
+            ck = HansenKey(0, m, k).canonical()
+            columns.append(hansen_wnuk_column(n_values, ck.m, ck.k, trunc))
+        else:
+            columns.append([hansen(HansenKey(n, m, k), trunc, method) for n in n_values])
+    rows = [[str(n)] + [column[i].pretty() for column in columns] for i, n in enumerate(n_values)]
     if fmt == "csv":
         import csv as _csv
         import io as _io

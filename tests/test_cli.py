@@ -382,6 +382,26 @@ def test_bench_computes_each_key_once_per_method(capsys, monkeypatch):
     assert len(set(calls)) == n_keys * len(methods)
 
 
+def test_bench_method_named_twice_usage_error(capsys):
+    code, out, err = run(
+        capsys, "bench", "--methods", "wnuk,newcomb,wnuk", "--n", "1", "--m", "1", "--k", "2",
+        "--order", "6",
+    )
+    assert code == 2
+    assert "'wnuk' named twice" in err
+    assert out == ""
+
+
+def test_bench_single_method_claims_no_equality(capsys):
+    code, out, _ = run(
+        capsys, "bench", "--methods", "newcomb", "--n", "0..1", "--m", "0..1", "--k", "1",
+        "--order", "6",
+    )
+    assert code == 0
+    assert "equality" not in out
+    assert out.splitlines()[0].startswith(" newcomb: ")
+
+
 # -- spotcheck / config / misc -----------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hansenatlas.exact import Rational, binomial_general, rational
+from hansenatlas.exact import Rational, binomial_general, binomial_rational, rational
 from hansenatlas.hansen import (
     HansenKey,
     NewcombTable,
@@ -134,6 +134,91 @@ def test_newcomb_transpose_symmetry():
             for rho in range(0, 5):
                 for sigma in range(rho + 1, 5):
                     assert tab.value(n, m, rho, sigma) == tab.value(n, -m, sigma, rho)
+
+
+def _chi_reference(j: int) -> Rational:
+    """(-1)^j C(3/2, j), the tail weights of the sigma-recursion."""
+    v = binomial_rational(rational(3, 2), j)
+    if j % 2:
+        v = -v
+    return v
+
+
+class _NewcombReference:
+    """Memoized Newcomb operators X_{rho,sigma}^{n,m}, by the recursions on Fractions.
+
+    Seeds: X_{0,0}^{n,m} = 1 and zero whenever rho or sigma is negative.
+    For sigma = 0:
+        4 rho X_{rho,0}^{n,m} = 2(2m-n) X_{rho-1,0}^{n,m+1} + (m-n) X_{rho-2,0}^{n,m+2}
+    and for sigma != 0:
+        4 sigma X_{rho,sigma}^{n,m} = -2(2m+n) X_{rho,sigma-1}^{n,m-1}
+            - (m+n) X_{rho,sigma-2}^{n,m-2}
+            - (rho - 5 sigma + 4 + 4m + n) X_{rho-1,sigma-1}^{n,m}
+            + 2(rho - sigma + m) sum_{j>=2} (-1)^j C(3/2, j) X_{rho-j,sigma-j}^{n,m}.
+    """
+
+    def __init__(self) -> None:
+        self.values: Dict[tuple, Rational] = {}
+
+    def value(self, n: int, m: int, rho: int, sigma: int) -> Rational:
+        if rho < 0 or sigma < 0:
+            return rational(0)
+        key = (n, m, rho, sigma)
+        v = self.values.get(key)
+        if v is not None:
+            return v
+        if rho == 0 and sigma == 0:
+            v = rational(1)
+        elif sigma == 0:
+            v = (
+                2 * (2 * m - n) * self.value(n, m + 1, rho - 1, 0)
+                + (m - n) * self.value(n, m + 2, rho - 2, 0)
+            ) / (4 * rho)
+        else:
+            acc = (
+                -2 * (2 * m + n) * self.value(n, m - 1, rho, sigma - 1)
+                - (m + n) * self.value(n, m - 2, rho, sigma - 2)
+                - (rho - 5 * sigma + 4 + 4 * m + n)
+                * self.value(n, m, rho - 1, sigma - 1)
+            )
+            factor = 2 * (rho - sigma + m)
+            if factor:
+                tail = rational(0)
+                for j in range(2, min(rho, sigma) + 1):
+                    term = self.value(n, m, rho - j, sigma - j)
+                    if term:
+                        tail += _chi_reference(j) * term
+                acc += factor * tail
+            v = acc / (4 * sigma)
+        self.values[key] = v
+        return v
+
+
+_newcomb_reference = _NewcombReference().value
+
+
+def _assert_newcomb_is_reference(tab, n, m, rho, sigma):
+    got = tab.value(n, m, rho, sigma)
+    ref = _newcomb_reference(n, m, rho, sigma)
+    assert got == ref and type(got) is Fraction, (n, m, rho, sigma)
+    scale = 4 ** (rho + sigma) * math.factorial(rho) * math.factorial(sigma)
+    y = tab.values[(n, m, rho, sigma)]
+    assert type(y) is int and y == scale * ref, (n, m, rho, sigma)
+
+
+def test_newcomb_equals_fraction_recursion_reference():
+    tab = NewcombTable()
+    for n in range(-3, 9):
+        for m in range(-4, 5):
+            for rho in range(13):
+                for sigma in range(13):
+                    _assert_newcomb_is_reference(tab, n, m, rho, sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-8, 16), st.integers(-8, 8), st.integers(0, 24), st.integers(0, 24))
+def test_newcomb_equals_fraction_recursion_reference_property(n, m, rho, sigma):
+    _assert_newcomb_is_reference(NewcombTable(), n, m, rho, sigma)
 
 
 def test_newcomb_hansen_examples():
@@ -492,6 +577,38 @@ def test_table_text_layout():
 def test_table_csv_round_layout():
     text = hansen_table([2], [2], 0, 7, fmt="csv")
     assert text.splitlines()[1] == "2,5/2 e^2"
+
+
+@pytest.mark.parametrize(
+    "method,k", [("auto", 3), ("auto", -2), ("wnuk", 0), ("wnuk", -4)]
+)
+def test_table_on_wnuk_route_is_one_column_call_per_m(monkeypatch, method, k):
+    import csv
+    import importlib
+
+    hansen_module = importlib.import_module("hansenatlas.hansen")
+    real = hansen_module.hansen_wnuk_column
+    calls = []
+
+    def counted(ns, m, kk, trunc):
+        calls.append((list(ns), m, kk))
+        return real(ns, m, kk, trunc)
+
+    monkeypatch.setattr(hansen_module, "hansen_wnuk_column", counted)
+    n_values, m_values = [-2, 0, 1, 4, 7], [-3, -1, 0, 2]
+    text = hansen_table(n_values, m_values, k, 9, method)
+    table = hansen_table(n_values, m_values, k, 9, method, fmt="csv")
+    assert len(calls) == 2 * len(m_values)
+    assert all(ns == n_values for ns, _, _ in calls)
+    assert all(kk > 0 or (kk == 0 and m >= 0) for _, m, kk in calls)  # canonical
+    rows = list(csv.reader(table.splitlines()))[1:]
+    per_key = [
+        [str(n)] + [hansen(HansenKey(n, m, k), 9, method).pretty() for m in m_values]
+        for n in n_values
+    ]
+    assert rows == per_key
+    # the text layout is the one a per-key route gives
+    assert text == hansen_table(n_values, m_values, k, 9, "newcomb")
 
 
 def test_newcomb_table_tracks_order_bound():
