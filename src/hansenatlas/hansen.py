@@ -230,11 +230,10 @@ class NewcombTable:
             )
             factor = 2 * (rho - sigma + m)
             if factor:
-                tail = sum(
+                v += factor * sum(
                     w * y(n, m, rho - j, sigma - j)
                     for j, w in enumerate(_tail_weights(rho, sigma), 2)
                 )
-                v += factor * tail
         self.values[key] = v
         return v
 
