@@ -72,9 +72,10 @@ class PolyEval:
 
     def __init__(self, series: SeriesAE):
         self.series = series
-        # `series.horner_rows()` in floats, for `at_points` and as the dense C
+        # `series.horner_rows()` in floats, for `at_points` and as the dense C;
+        # int / int rounds correctly, as float(Fraction) does
         rows = [
-            (n, lo, hi, step2, [float(c) for c in coeffs])
+            (n, lo, hi, step2, [c / series.den for c in coeffs])
             for n, lo, hi, step2, coeffs in series.horner_rows()
         ]
         C = np.zeros((series.trunc_a + 1, series.trunc_e + 1))

@@ -1,10 +1,11 @@
 """Exact rational scalars and the binomial conventions used by the series engines.
 
-Every coefficient in this package is a `fractions.Fraction`: lowest terms,
-positive denominator, normalized on construction, raising on division by zero.
-The hot exact kernels (Wnuk's and Balmino's routes and `SeriesAE.eval_exact`)
-run on Python ints over one common denominator and build a `Fraction` only at
-the public `SeriesE`/`SeriesAE` boundary.
+Every coefficient at the API of this package is a `fractions.Fraction`: lowest
+terms, positive denominator, normalized on construction, raising on division by
+zero.  The hot exact kernels (Newcomb's, Wnuk's and Balmino's routes, the
+Fourier assembly `fourier._assemble` and `SeriesAE.eval_exact`) run on Python
+ints over common denominators, `SeriesAE` stores its coefficients so, and a
+`Fraction` is built only at the public `SeriesE`/`SeriesAE` boundary.
 """
 from __future__ import annotations
 

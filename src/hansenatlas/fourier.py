@@ -7,7 +7,8 @@ The assembly is
 with the Legendre weight C_{n,m} = (m+n)!(n-m)! / (2^{2n} ((m+n)/2)!^2 ((n-m)/2)!^2)
 and m* = m+2 for m in {0,1}, m otherwise.  Every assembled series therefore has
 a-exponents n >= m* of the parity of m, each Hansen factor truncated at the
-requested e-order.
+requested e-order.  Every mode, k = 0 and (0,0) included, takes its Hansen
+factors from one walk of Wnuk's route and is assembled on integers.
 
 The leading coefficient of e^{|m-k|} a^{m*} equals 2 t_{m,k} exactly, with
 t_{m,k} given in closed form below (case A for m >= 2, case B for m in {0,1});
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Rational, binomial_general, rational, rational_str
-from .hansen import HansenKey, hansen, hansen_wnuk_column
+from .hansen import HansenKey, wnuk_scaled_column
 from .series import SeriesAE
 
 log = logging.getLogger("hansenatlas.fourier")
@@ -85,27 +86,23 @@ _FOURIER_CACHE: Dict[Tuple[int, int], Tuple[int, int, SeriesAE]] = {}
 
 
 def _assemble(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
+    """f_{m,k} on integers over D = N! 2^(2 Na + N) (Na = trunc_a, N = trunc_e): one
+    Wnuk walk gives every X_k^{n,m} as integers over N! 2^q, and C_{n,m} 4^n =
+    C(n+m, (n+m)/2) C(n-m, (n-m)/2) is an integer; `SeriesAE` reduces once."""
     m, k = mode.m, mode.k
-    mstar = mode.m_star
-    terms: Dict[Tuple[int, int], Rational] = {}
-    if (m, k) == (0, 0):
-        terms[(0, 0)] = rational(-1)
-        scale = -1
-    else:
-        scale = -2
-    ns = range(mstar, trunc_a + 1, 2)
-    key = HansenKey(mstar, m, k).canonical()
-    if key.k:
-        # `hansen`'s auto route for k != 0 (Wnuk's), one column for every n;
-        # canonicalizing flips m and k alike for every n
-        column = hansen_wnuk_column(ns, key.m, key.k, trunc_e)
-    else:
-        column = [hansen(HansenKey(n, m, k), trunc_e) for n in ns]
-    for n, x in zip(ns, column):
-        weight = scale * legendre_weight(n, m)
-        for q, v in x.c.items():
-            terms[(n, q)] = weight * v
-    return SeriesAE(terms, trunc_a, trunc_e)
+    ns = range(mode.m_star, trunc_a + 1, 2)
+    # canonicalizing flips m and k alike for every n
+    key = HansenKey(mode.m_star, m, k).canonical()
+    den = math.factorial(trunc_e) << (2 * trunc_a + trunc_e)
+    num = {(0, 0): -den} if (m, k) == (0, 0) else {}
+    scale = -1 if (m, k) == (0, 0) else -2
+    qs = range(abs(k - m), trunc_e + 1, 2)
+    for n, xs in zip(ns, wnuk_scaled_column(ns, key.m, key.k, trunc_e)):
+        weight = scale * math.comb(n + m, (n + m) // 2) * math.comb(n - m, (n - m) // 2)
+        for q, x in zip(qs, xs):
+            if x:
+                num[(n, q)] = weight * x << (2 * (trunc_a - n) + trunc_e - q)
+    return SeriesAE(num, trunc_a, trunc_e, den=den)
 
 
 def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:

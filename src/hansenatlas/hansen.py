@@ -6,9 +6,10 @@ The four routes are fully independent and must agree bit-exactly:
   X_0^{-(n+1),m} and the recursions seeded from the closed form),
 * diagonal sums of Newcomb operators,
 * a Bessel-function expansion in beta = e/(1+sqrt(1-e^2)) (Wnuk's route,
-  the default for bulk work with k != 0), computed a column at a time:
-  `hansen_wnuk_column` returns X_k^{n,m} for many n at fixed (m, k) from one
-  walk of a three-term recursion in n, and `hansen_wnuk` is its one-n form,
+  `hansen`'s default for k != 0), computed a column at a time:
+  `wnuk_scaled_column` returns X_k^{n,m} for many n at fixed (m, k) from one
+  walk of a three-term recursion in n, as integers over trunc! 2^q;
+  `hansen_wnuk_column` is its `Fraction` form, `hansen_wnuk` the one-n form,
 * a closed multiple-sum expansion in powers of e/2 (Balmino's route, valid
   for k - m >= 0; other keys are reached through the X_k^{n,m} = X_{-k}^{n,-m}
   symmetry).
@@ -274,7 +275,7 @@ def hansen_newcomb(n: int, m: int, k: int, trunc: int) -> SeriesE:
 #     R^{(a)}(z) = (1 - u(z+1/z))^a J(z).
 # R^{(0)}_d = J_d(k e), with J_{-d} = (-1)^d J_d, and one step up in a is
 #     R^{(a+1)}_d = R^{(a)}_d - u (R^{(a)}_{d-1} + R^{(a)}_{d+1}),
-# a three-term recursion in n at fixed (m, k), so `hansen_wnuk_column` walks
+# a three-term recursion in n at fixed (m, k), so `wnuk_scaled_column` walks
 # it once for a whole column of n.  Going up, it keeps only the d within reach
 # of the 2p+1 indices it extracts at the top a, a window that narrows by one
 # on each side per step.  For a < 0 (n < p-1) the step runs downward,
@@ -399,8 +400,9 @@ def _wnuk_step_down(rows: Dict[int, List[int]], trunc: int) -> Dict[int, List[in
     return out
 
 
-def _wnuk_extract(ws: _WnukWorkspace, rows: Dict[int, List[int]], m: int, k: int) -> SeriesE:
-    """(1+beta^2)^{-|m|} sum_j C(2|m|, j) (-beta)^j R_{k-m+sgn(m) j} as an exact series."""
+def _wnuk_extract(ws: _WnukWorkspace, rows: Dict[int, List[int]], m: int, k: int) -> List[int]:
+    """(1+beta^2)^{-|m|} sum_j C(2|m|, j) (-beta)^j R_{k-m+sgn(m) j} as a dense
+    list over (q - |k-m|)/2: entry i is the e^q coefficient times N! 2^q."""
     trunc = ws.trunc
     p = abs(m)
     step = -1 if m < 0 else 1
@@ -417,11 +419,7 @@ def _wnuk_extract(ws: _WnukWorkspace, rows: Dict[int, List[int]], m: int, k: int
         row = _dmul(ws.beta_pows[j], rows[d], (trunc - order0) // 2 + 1) if j else rows[d]
         for i, v in enumerate(row, (order0 - ad0) // 2):
             acc[i] += c * v
-    if p:
-        acc = _dmul(acc, ws.inv_pow(p), size)
-    scale = ws.factorials[trunc]
-    coeffs = {ad0 + 2 * i: rational(v, scale << (ad0 + 2 * i)) for i, v in enumerate(acc) if v}
-    return SeriesE(coeffs, trunc, _raw=True)
+    return _dmul(acc, ws.inv_pow(p), size) if p else acc
 
 
 def _wnuk_bessel_rows(ws: _WnukWorkspace, k: int, lo: int, hi: int) -> Dict[int, List[int]]:
@@ -435,20 +433,22 @@ def _wnuk_bessel_rows(ws: _WnukWorkspace, k: int, lo: int, hi: int) -> Dict[int,
     return rows
 
 
-def hansen_wnuk_column(ns: Sequence[int], m: int, k: int, trunc: int) -> List[SeriesE]:
-    """X_k^{n,m} for every n of `ns`, in its order, from one walk of the recursion in n.
+def wnuk_scaled_column(ns: Sequence[int], m: int, k: int, trunc: int) -> List[List[int]]:
+    """X_k^{n,m} for every n of `ns`, in its order, from one walk of the recursion
+    in n, as integer lists: entry i is the coefficient of e^q, q = |k-m| + 2i,
+    times trunc! 2^q.
 
     `ns` may be unsorted and hold repeats and any integers; a repeated n gets
-    the same series object.
+    the same list object.
     """
     ws = _workspace(trunc)
     if abs(k - m) > trunc:
-        return [SeriesE.zero(trunc) for _ in ns]
+        return [[] for _ in ns]
     p = abs(m)
     wanted = {n - p + 1 for n in ns}
     if not wanted:
         return []
-    found: Dict[int, SeriesE] = {}
+    found: Dict[int, List[int]] = {}
     bottom, top = min(wanted), max(max(wanted), 0)
     if bottom < 0:
         rows = _wnuk_bessel_rows(ws, k, -trunc, trunc)
@@ -465,6 +465,15 @@ def hansen_wnuk_column(ns: Sequence[int], m: int, k: int, trunc: int) -> List[Se
         if a in wanted:
             found[a] = _wnuk_extract(ws, rows, m, k)
     return [found[n - p + 1] for n in ns]
+
+
+def hansen_wnuk_column(ns: Sequence[int], m: int, k: int, trunc: int) -> List[SeriesE]:
+    """X_k^{n,m} for every n of `ns` as exact series: `wnuk_scaled_column` over trunc! 2^q."""
+    scale, qs = math.factorial(trunc), range(abs(k - m), trunc + 1, 2)
+    return [
+        SeriesE({q: rational(v, scale << q) for q, v in zip(qs, xs) if v}, trunc, _raw=True)
+        for xs in wnuk_scaled_column(ns, m, k, trunc)
+    ]
 
 
 def hansen_wnuk(n: int, m: int, k: int, trunc: int) -> SeriesE:

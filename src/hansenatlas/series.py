@@ -4,14 +4,15 @@ SeriesE is a univariate series in the eccentricity e, SeriesAE a bivariate
 series in the semimajor axis a and e.  Both are sparse (no zero coefficient is
 ever stored), keep every exponent within their per-variable truncation bound,
 and are immutable after construction: all arithmetic returns new values.
-`SeriesAE.eval_exact` keeps its integer-scaled coefficients on the series the
-first time it runs.
+SeriesE stores `Fraction`s; SeriesAE stores integers over one denominator and
+builds `Fraction`s only when asked for them (`c`, `coeff`, `terms`).
 
 SeriesE has the ring operations that the k = 0 recursions need; a
 mixed-order product takes the minimum of each truncation bound.  SeriesAE has
 no arithmetic: it is built whole by `fourier`, truncated and differentiated.
 Evaluation here is exact; double-precision values come from `atlas.PolyEval`,
-which reads the same Horner rows (`SeriesAE.horner_rows`) as `eval_exact`.
+which reads the same integer Horner rows (`SeriesAE.horner_rows`, built once
+per series) as `eval_exact`.
 """
 from __future__ import annotations
 
@@ -189,42 +190,54 @@ class SeriesE:
 
 
 class SeriesAE:
-    """Truncated bivariate series sum c_{n,q} a^n e^q with n <= trunc_a, q <= trunc_e."""
+    """Truncated bivariate series sum c_{n,q} a^n e^q with n <= trunc_a, q <= trunc_e,
+    stored as c_{n,q} = num[(n, q)] / den with gcd(den, every num) = 1, so equal
+    series store equal integers.  `coeffs` maps (n, q) to rationals, or to
+    integers over `den` when that is given."""
 
-    __slots__ = ("c", "trunc_a", "trunc_e", "_int_rows")
+    __slots__ = ("num", "den", "trunc_a", "trunc_e", "_int_rows")
 
     def __init__(
         self,
         coeffs: Mapping[Tuple[int, int], RationalLike],
         trunc_a: int,
         trunc_e: int,
-        _raw: bool = False,
+        den: Optional[int] = None,
     ):
         if trunc_a < 0 or trunc_e < 0:
             raise ValueError("truncation orders must be non-negative")
-        if _raw:
-            self.c: Dict[Tuple[int, int], Rational] = coeffs  # type: ignore[assignment]
-        else:
-            self.c = {}
-            for (n, q), v in coeffs.items():
-                if n < 0 or q < 0:
-                    raise ValueError(f"negative exponent ({n},{q})")
-                r = rational(v)
-                if n <= trunc_a and q <= trunc_e and r != 0:
-                    self.c[(n, q)] = r
+        if den is None:
+            den = math.lcm(*(rational(v).denominator for v in coeffs.values()))
+            coeffs = {key: int(rational(v) * den) for key, v in coeffs.items()}
+        num: Dict[Tuple[int, int], int] = {}
+        for (n, q), v in coeffs.items():
+            if n < 0 or q < 0:
+                raise ValueError(f"negative exponent ({n},{q})")
+            if n <= trunc_a and q <= trunc_e and v:
+                num[(n, q)] = v
+        g = math.gcd(den, *num.values())
+        for key in num:  # in place: a second dict would raise the assembly's memory peak
+            num[key] //= g
+        self.num = num
+        self.den = den // g
         self.trunc_a = trunc_a
         self.trunc_e = trunc_e
         self._int_rows = None
 
     @staticmethod
     def zero(trunc_a: int, trunc_e: int) -> "SeriesAE":
-        return SeriesAE({}, trunc_a, trunc_e, _raw=True)
+        return SeriesAE({}, trunc_a, trunc_e, den=1)
+
+    @property
+    def c(self) -> Dict[Tuple[int, int], Rational]:
+        """The coefficients as a fresh mapping of rationals."""
+        return {key: Rational(v, self.den) for key, v in self.num.items()}
 
     def coeff(self, n: int, q: int) -> Rational:
-        return self.c.get((n, q), ZERO)
+        return Rational(self.num.get((n, q), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.num
 
     def terms(self) -> Iterable[Tuple[Tuple[int, int], Rational]]:
         return sorted(self.c.items())
@@ -232,61 +245,41 @@ class SeriesAE:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesAE):
             return NotImplemented
-        return (
-            self.trunc_a == other.trunc_a
-            and self.trunc_e == other.trunc_e
-            and self.c == other.c
+        return (self.trunc_a, self.trunc_e, self.den, self.num) == (
+            other.trunc_a, other.trunc_e, other.den, other.num
         )
-
-    def __hash__(self):
-        return hash((self.trunc_a, self.trunc_e, tuple(sorted(self.c.items()))))
 
     def truncate(self, trunc_a: int, trunc_e: int) -> "SeriesAE":
         if trunc_a > self.trunc_a or trunc_e > self.trunc_e:
             raise ValueError("cannot extend truncation orders")
         if (trunc_a, trunc_e) == (self.trunc_a, self.trunc_e):
             return self
-        return SeriesAE(
-            {k: v for k, v in self.c.items() if k[0] <= trunc_a and k[1] <= trunc_e},
-            trunc_a,
-            trunc_e,
-            _raw=True,
-        )
+        return SeriesAE(self.num, trunc_a, trunc_e, den=self.den)
 
     def derivative_a(self) -> "SeriesAE":
-        return SeriesAE(
-            {(n - 1, q): n * v for (n, q), v in self.c.items() if n >= 1},
-            self.trunc_a,
-            self.trunc_e,
-            _raw=True,
-        )
+        num = {(n - 1, q): n * v for (n, q), v in self.num.items() if n}
+        return SeriesAE(num, self.trunc_a, self.trunc_e, den=self.den)
 
     def derivative_e(self) -> "SeriesAE":
-        return SeriesAE(
-            {(n, q - 1): q * v for (n, q), v in self.c.items() if q >= 1},
-            self.trunc_a,
-            self.trunc_e,
-            _raw=True,
-        )
+        num = {(n, q - 1): q * v for (n, q), v in self.num.items() if q}
+        return SeriesAE(num, self.trunc_a, self.trunc_e, den=self.den)
 
     def eval_exact(self, a: RationalLike, e: RationalLike) -> Rational:
         """Exact value at (a, e), by Horner on Python ints.
 
-        The coefficients are scaled once to one denominator D, c = C/D, and the
-        integer rows are kept on the series.  With a = A/Da and e = E/De,
+        With c = C/D (D = `den`), a = A/Da and e = E/De,
             D Da^Na De^Ne f(a, e) = sum_n A^n Da^(Na-n) sum_q C_nq E^q De^(Ne-q)
         is an integer (Na, Ne the largest exponents present); a row whose
         exponents share a parity runs in e^2.
         """
         ar, er = rational(a), rational(e)
-        if self._int_rows is None:
-            self._int_rows = self._scaled_rows()
-        den, ne, rows = self._int_rows
+        rows = self.horner_rows()
         if not rows:
             return ZERO
         A, Da = ar.numerator, ar.denominator
         E, De = er.numerator, er.denominator
         E2, De2 = E * E, De * De
+        ne = max(hi for _, _, hi, _, _ in rows)
         n_top = prev_n = rows[0][0]
         acc = 0
         for n, lo, hi, step2, coeffs in rows:
@@ -299,40 +292,32 @@ class SeriesAE:
             inner = h * E**lo * De ** (ne - hi)
             acc = acc * A ** (prev_n - n) + inner * Da ** (n_top - n)
             prev_n = n
-        return Rational(acc * A**prev_n, den * Da**n_top * De**ne)
+        return Rational(acc * A**prev_n, self.den * Da**n_top * De**ne)
 
-    def horner_rows(self) -> List[Tuple[int, int, int, bool, List[Rational]]]:
+    def horner_rows(self) -> List[Tuple[int, int, int, bool, List[int]]]:
         """Per a-exponent n present, descending: (n, lowest q, highest q,
-        step-2 flag, coefficients from the highest q down, 0 in the gaps).  A
-        row whose exponents share a parity steps by 2, to run in e^2."""
-        by_n: Dict[int, Dict[int, Rational]] = {}
-        for (n, q), v in self.c.items():
-            by_n.setdefault(n, {})[q] = v
-        rows = []
-        for n in sorted(by_n, reverse=True):
-            row = by_n[n]
-            lo, hi = min(row), max(row)
-            step2 = all((q - lo) % 2 == 0 for q in row)
-            coeffs = [row.get(q, ZERO) for q in range(hi, lo - 1, -2 if step2 else -1)]
-            rows.append((n, lo, hi, step2, coeffs))
-        return rows
-
-    def _scaled_rows(self):
-        """(D, Ne, rows): `horner_rows` with every coefficient c as the integer c D."""
-        if not self.c:
-            return 1, 0, []
-        den = math.lcm(*(v.denominator for v in self.c.values()))
-        rows = [
-            (n, lo, hi, step2, [c.numerator * (den // c.denominator) for c in coeffs])
-            for n, lo, hi, step2, coeffs in self.horner_rows()
-        ]
-        return den, max(q for _, q in self.c), rows
+        step-2 flag, integer coefficients over `den` from the highest q down,
+        0 in the gaps).  A row whose exponents share a parity steps by 2, to
+        run in e^2.  Built once per series and kept on it."""
+        if self._int_rows is None:
+            by_n: Dict[int, Dict[int, int]] = {}
+            for (n, q), v in self.num.items():
+                by_n.setdefault(n, {})[q] = v
+            rows = []
+            for n in sorted(by_n, reverse=True):
+                row = by_n[n]
+                lo, hi = min(row), max(row)
+                step2 = all((q - lo) % 2 == 0 for q in row)
+                coeffs = [row.get(q, 0) for q in range(hi, lo - 1, -2 if step2 else -1)]
+                rows.append((n, lo, hi, step2, coeffs))
+            self._int_rows = rows
+        return self._int_rows
 
     def __repr__(self) -> str:
-        if not self.c:
+        if not self.num:
             return f"SeriesAE(0; orders ({self.trunc_a},{self.trunc_e}))"
         parts = []
-        for (n, q), v in sorted(self.c.items()):
+        for (n, q), v in self.terms():
             factors = [rational_str(v)]
             if n:
                 factors.append("a" if n == 1 else f"a^{n}")

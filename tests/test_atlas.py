@@ -164,7 +164,7 @@ def test_at_equals_dense_horner_property(series, points):
 def parity_rows(series):
     """`series.horner_rows()` in floats: (n, lowest q, step-2 flag, coefficients)."""
     return [
-        (n, lo, step2, [float(c) for c in coeffs])
+        (n, lo, step2, [c / series.den for c in coeffs])
         for n, lo, _, step2, coeffs in series.horner_rows()
     ]
 
@@ -200,6 +200,15 @@ def assert_at_points_is_reference(series, a, e):
     want = [parity_row_reference(rows, x, y) for x, y in zip(a.tolist(), e.tolist())]
     assert_same_bits(poly.at_points(a, e), want)
     return poly, rows, want
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_poly_coefficients_are_rounded_fractions_at_order60(j):
+    # the integers over one denominator round to the floats of the Fractions
+    series = fourier_coefficient(Mode(5 * j, -2 * j), 60, 60)
+    for s in (series, series.derivative_a(), series.derivative_e()):
+        want = [[float(s.coeff(n, q)) for q in range(61)] for n in range(61)]
+        assert_same_bits(PolyEval(s).C, want)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Fourier-coefficient assembly, asymptotic coefficients, and their exact identity."""
+import importlib
 import logging
 import math
+from fractions import Fraction
 
 import pytest
 
+from hansenatlas import fourier
 from hansenatlas.exact import rational
 from hansenatlas.fourier import (
     Mode,
@@ -16,6 +19,7 @@ from hansenatlas.fourier import (
     legendre_weight,
     t_mk,
 )
+from hansenatlas.hansen import HansenKey, hansen, hansen_wnuk_column
 from hansenatlas.series import SeriesAE
 
 
@@ -153,31 +157,86 @@ def test_cache_serves_crossed_orders(monkeypatch):
 
 
 def test_assemble_makes_one_column_call_per_mode(monkeypatch):
-    from hansenatlas import fourier
-    from hansenatlas.hansen import HansenKey
-
-    column, dispatch = fourier.hansen_wnuk_column, fourier.hansen
-    columns, keys = [], []
+    hansen_module = importlib.import_module("hansenatlas.hansen")
+    column = fourier.wnuk_scaled_column
+    columns, others = [], []
 
     def counting_column(ns, m, k, trunc):
         columns.append((tuple(ns), m, k, trunc))
         return column(ns, m, k, trunc)
 
-    def counting_hansen(key, trunc, method="auto"):
-        keys.append(key)
-        return dispatch(key, trunc, method)
+    def recording(name):
+        fn = getattr(hansen_module, name)
 
-    monkeypatch.setattr(fourier, "hansen_wnuk_column", counting_column)
-    monkeypatch.setattr(fourier, "hansen", counting_hansen)
+        def wrapper(*args, **kwargs):
+            others.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fourier, "wnuk_scaled_column", counting_column)
+    for name in ("hansen", "hansen_k0_closed", "hansen_wnuk_column"):
+        monkeypatch.setattr(hansen_module, name, recording(name))
     for j in (1, 2, 3):
         fourier._assemble(Mode(5 * j, -2 * j), 60, 60)
     # canonical keys X_{2j}^{n,-5j}: one column of n = 5j, 5j+2, ... per mode
     assert columns == [(tuple(range(5 * j, 61, 2)), -5 * j, 2 * j, 60) for j in (1, 2, 3)]
-    assert keys == []
     columns.clear()
+    # k = 0 takes the same single column, (0,0) included
     fourier._assemble(Mode(2, 0), 60, 60)
-    assert columns == []
-    assert keys == [HansenKey(n, 2, 0) for n in range(2, 61, 2)]
+    fourier._assemble(Mode(0, 0), 60, 60)
+    assert columns == [(tuple(range(2, 61, 2)), m, 0, 60) for m in (2, 0)]
+    assert others == []
+    assert not hasattr(fourier, "hansen")
+
+
+def _assemble_reference(mode, trunc_a, trunc_e):
+    """The `Fraction` assembly, the reference for `fourier._assemble`: per-key
+    `hansen()` for k = 0, one Wnuk column otherwise, `legendre_weight` weights."""
+    m, k = mode.m, mode.k
+    mstar = mode.m_star
+    terms = {}
+    if (m, k) == (0, 0):
+        terms[(0, 0)] = rational(-1)
+        scale = -1
+    else:
+        scale = -2
+    ns = range(mstar, trunc_a + 1, 2)
+    key = HansenKey(mstar, m, k).canonical()
+    if key.k:
+        # `hansen`'s auto route for k != 0 (Wnuk's), one column for every n;
+        # canonicalizing flips m and k alike for every n
+        column = hansen_wnuk_column(ns, key.m, key.k, trunc_e)
+    else:
+        column = [hansen(HansenKey(n, m, k), trunc_e) for n in ns]
+    for n, x in zip(ns, column):
+        weight = scale * legendre_weight(n, m)
+        for q, v in x.c.items():
+            terms[(n, q)] = weight * v
+    return SeriesAE(terms, trunc_a, trunc_e)
+
+
+REFERENCE_MODES = [Mode(0, 0), Mode(0, 1), Mode(1, 0), Mode(2, 0), Mode(3, 0)]
+REFERENCE_MODES += [Mode(5 * j, -2 * j) for j in (1, 2, 3)]
+REFERENCE_MODES += [Mode(3, 4), Mode(1, -7), Mode(2, -5)]
+
+
+@pytest.mark.parametrize("orders", [(20, 20), (60, 60), (12, 30), (30, 12)], ids=str)
+@pytest.mark.parametrize("mode", REFERENCE_MODES, ids=str)
+def test_assemble_equals_fraction_reference(mode, orders):
+    got, want = fourier._assemble(mode, *orders), _assemble_reference(mode, *orders)
+    assert got == want
+    assert got.c == want.c and all(type(v) is Fraction for v in got.c.values())
+
+
+@pytest.mark.parametrize(
+    "mode, orders", [(Mode(15, -6), (12, 20)), (Mode(0, 0), (1, 4)), (Mode(1, 1), (2, 4))], ids=str
+)
+def test_assemble_equals_fraction_reference_below_visibility(mode, orders):
+    # a-order below m*: the mode sum is empty
+    got = fourier._assemble(mode, *orders)
+    assert got == _assemble_reference(mode, *orders)
+    assert got.is_zero() == ((mode.m, mode.k) != (0, 0))
 
 
 # -- asymptotic coefficients --------------------------------------------------------

@@ -1,4 +1,7 @@
 """Truncated-series algebra: arithmetic, ring laws, auxiliary series, evaluation."""
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,6 +223,35 @@ def series_ae(draw, max_order=8):
         q = draw(st.integers(min_value=0, max_value=te))
         coeffs[(n, q)] = rational(str(draw(rationals)))
     return SeriesAE(coeffs, ta, te)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10)),
+        st.one_of(st.just(rational(0)), rationals),
+        max_size=12,
+    ),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_series_ae_stores_reduced_integers_property(coeffs, ta, te, ta2, te2):
+    # zeros and keys past the orders are dropped; the integers over `den`
+    # share no factor, and truncation and the derivatives are the Fraction ones
+    s = SeriesAE(coeffs, ta, te)
+    want = {(n, q): v for (n, q), v in coeffs.items() if v and n <= ta and q <= te}
+    assert s.c == want and all(type(v) is Fraction for v in s.c.values())
+    assert s.den > 0 and math.gcd(s.den, *s.num.values()) == 1
+    assert all(type(v) is int for v in s.num.values())
+    ta2, te2 = min(ta, ta2), min(te, te2)
+    assert s.truncate(ta2, te2).c == {(n, q): v for (n, q), v in want.items() if n <= ta2 and q <= te2}
+    assert s.derivative_a().c == {(n - 1, q): n * v for (n, q), v in want.items() if n}
+    assert s.derivative_e().c == {(n, q - 1): q * v for (n, q), v in want.items() if q}
+    for t in (s.truncate(ta2, te2), s.derivative_a(), s.derivative_e()):
+        assert t == SeriesAE(t.c, t.trunc_a, t.trunc_e)
+        assert math.gcd(t.den, *t.num.values()) == 1
 
 
 def _term_sum(s, a, e):
