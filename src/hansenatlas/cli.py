@@ -10,18 +10,13 @@ bench     cross-validated wall-clock comparison of the Hansen methods
 spotcheck series value vs quadrature oracle at one (m,k,a,e)
 
 Exit codes: 0 success, 2 usage error, 3 numerical-domain error,
-4 cross-method disagreement.  A `--config key=value` file supplies defaults
-(an option given on the command line wins, even at its default value); a key
-is an option's dest or flag spelling, and an option taking several values
-takes them whitespace-separated (`eval=0.3 0.1`).  Any other key, a wrong
-number of values, a value outside the option's choices, a boolean other than
-1/0/true/false/yes/no and an unknown name in `zeros --formats` are usage
-errors, and so are a negative truncation order, `zeros --mmax` below 1 and a
-mode given twice in `zeros --modes`.  HANSENATLAS_JOBS sets the
-default worker count; a value of it (under any subcommand) or of `--jobs`
-that is not an integer >= 1 is a usage error too.  With --out DIR all
-artifacts land in DIR together with a manifest.json naming the inputs,
-orders and tool version.
+4 cross-method disagreement.  An unknown name in `zeros --formats`, a range
+or mode list that does not parse (the message names its option), a negative
+truncation order, `zeros --mmax` below 1 and a mode given twice in
+`zeros --modes` are usage errors.  HANSENATLAS_JOBS sets the default worker
+count; a value of it (under any subcommand) or of `--jobs` that is not an
+integer >= 1 is a usage error too.  With --out DIR all artifacts land in DIR
+together with a manifest.json naming the inputs, orders and tool version.
 """
 from __future__ import annotations
 
@@ -31,7 +26,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .atlas import DEFAULT_GRID, PolyEval, scan_modes
@@ -58,30 +53,30 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_DISAGREEMENT = 4
 ZEROS_FORMATS = ("csv", "json", "svg")
-# the spellings a config file may give a store_true option
-_BOOLEAN_WORDS = {
-    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
-}
 
 
-def _parse_range(text: str) -> List[int]:
-    """'0..15' -> [0,...,15]; '4' -> [4]; an empty range like '5..3' is an error."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {text!r}")
-        return values
-    return [int(text)]
+def _parse_range(text: str, option: str) -> List[int]:
+    """'0..15' -> [0,...,15]; '4' -> [4]; other text and an empty range like
+    '5..3' are errors that name `option`."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
+    except ValueError:
+        raise ValueError(f"{option}: expected an integer or lo..hi, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{option}: empty range {text!r}")
+    return values
 
 
 def _parse_modes(text: str) -> List[Mode]:
-    """'5,-2;3,4' -> [Mode(5,-2), Mode(3,4)]."""
-    modes = []
-    for chunk in text.split(";"):
-        m_str, k_str = chunk.split(",")
-        modes.append(Mode(int(m_str), int(k_str)))
-    return modes
+    """'5,-2;3,4' -> [Mode(5,-2), Mode(3,4)]; other text is an error naming --modes."""
+    pairs = [chunk.split(",") for chunk in text.split(";")]
+    try:
+        if all(len(pair) == 2 for pair in pairs):
+            return [Mode(int(m), int(k)) for m, k in pairs]
+    except ValueError:
+        pass
+    raise ValueError(f"--modes: expected m,k pairs separated by ';', got {text!r}")
 
 
 class _Outputs:
@@ -125,66 +120,6 @@ def _worker_count(text: str) -> int:
     return count
 
 
-def _command_line_dests(argv: Optional[Sequence[str]]) -> Set[str]:
-    """The dests that argv itself gives: a second parse with every default suppressed."""
-    parser = build_parser()
-    for action in parser.parse_args(argv)._actions.values():
-        action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _config_value(action: argparse.Action, key: str, value: str) -> object:
-    """A config file's text for `action`, converted and checked as argparse would."""
-    if isinstance(action.default, bool):
-        flag = value.lower()
-        if flag not in _BOOLEAN_WORDS:
-            raise ValueError(f"config key {key!r}: {value!r} is not a boolean")
-        return _BOOLEAN_WORDS[flag]
-    # an option taking a fixed number of values takes them whitespace-separated
-    fixed = isinstance(action.nargs, int)
-    words = value.split() if fixed else [value]
-    if fixed and len(words) != action.nargs:
-        raise ValueError(f"config key {key!r}: expected {action.nargs} values, got {value!r}")
-    converted = []
-    for word in words:
-        try:
-            converted.append(action.type(word) if action.type else word)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
-        if action.choices is not None and converted[-1] not in action.choices:
-            raise ValueError(
-                f"config key {key!r}: invalid choice {value!r} "
-                f"(choose from {', '.join(map(str, action.choices))})"
-            )
-    return converted if fixed else converted[0]
-
-
-def _apply_config(args: argparse.Namespace, argv: Optional[Sequence[str]]) -> None:
-    """Fill options that the command line does not give from the `--config`
-    file.  A key is an option's dest or its flag spelling (`order_e` or
-    `order-e`); any other key, a value outside the option's choices and a
-    boolean other than 1/0/true/false/yes/no are usage errors."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    actions: Dict[str, argparse.Action] = args._actions
-    overrides = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise ValueError(f"unknown key {key!r} in config file {path}")
-        overrides[dest] = _config_value(actions[dest], key, value.strip())
-    given = _command_line_dests(argv)
-    for dest, value in overrides.items():
-        if dest not in given:
-            setattr(args, dest, value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hansenatlas",
@@ -206,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--table", action="store_true", help="emit rows-n by columns-m table")
     p.add_argument("--format", default="text", choices=("text", "csv"))
-    p.add_argument("--config")
     p.add_argument("--out")
 
     p = sub.add_parser("fourier", help="Fourier coefficient matrix of f_{m,k}")
@@ -215,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, help="a-order (and e-order default)")
     p.add_argument("--order-e", type=int, default=None)
     p.add_argument("--eval", nargs=2, type=float, metavar=("A", "E"), default=None)
-    p.add_argument("--config")
     p.add_argument("--out")
 
     p = sub.add_parser("tmk", help="asymptotic leading coefficient t_{m,k}")
@@ -231,11 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--jobs", type=_worker_count, default=default_jobs)
     p.add_argument("--formats", default=",".join(ZEROS_FORMATS))
-    p.add_argument("--config")
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="timing comparison of Hansen methods")
-    p.add_argument("--methods", required=True, help="comma list of newcomb,wnuk,balmino,k0,k0rec")
+    p.add_argument("--methods", required=True, help="comma list of newcomb,wnuk,balmino,k0")
     p.add_argument("--n", default="0..8")
     p.add_argument("--m", default="-3..3")
     p.add_argument("--k", default="0..10")
@@ -249,17 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--order-e", type=int, default=None)
     p.add_argument("--samples", type=int, default=512)
-
-    for command_parser in sub.choices.values():
-        command_parser.set_defaults(
-            _actions={a.dest: a for a in command_parser._actions if a.dest != "help"}
-        )
     return parser
 
 
 def _cmd_hansen(args: argparse.Namespace) -> int:
-    n_values = _parse_range(args.n)
-    m_values = _parse_range(args.m)
+    n_values = _parse_range(args.n, "--n")
+    m_values = _parse_range(args.m, "--m")
     if args.table:
         text = hansen_table(n_values, m_values, args.k, args.order, args.method, args.format)
         print(text, end="")
@@ -394,11 +321,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     keys = [
         (n, m, k)
-        for n in _parse_range(args.n)
-        for m in _parse_range(args.m)
-        for k in _parse_range(args.k)
+        for n in _parse_range(args.n, "--n")
+        for m in _parse_range(args.m, "--m")
+        for k in _parse_range(args.k, "--k")
     ]
-    if any(m in ("k0", "k0rec") for m in methods):
+    if "k0" in methods:
         keys = [key for key in keys if key[2] == 0]
     if not keys:
         print("empty key set", file=sys.stderr)
@@ -457,7 +384,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
-        _apply_config(args, argv)
         return handlers[args.command](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 The four routes are fully independent and must agree bit-exactly:
 
-* a hypergeometric closed form for k = 0 (plus the negative-exponent family
-  X_0^{-(n+1),m} and the recursions seeded from the closed form),
+* a hypergeometric closed form for k = 0 and n >= 0, with the
+  negative-exponent form X_0^{-(n+1),m} for n < 0,
 * diagonal sums of Newcomb operators,
 * a Bessel-function expansion in beta = e/(1+sqrt(1-e^2)) (Wnuk's route,
   `hansen`'s default for k != 0), computed a column at a time:
@@ -23,7 +23,6 @@ common denominators and build each `Fraction` coefficient once.
 """
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -32,9 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 from .exact import Rational, binomial_general, pochhammer, rational
 from .series import SeriesE, sqrt_one_minus_e2
 
-log = logging.getLogger("hansenatlas.hansen")
-
-METHODS = ("auto", "k0", "k0rec", "newcomb", "wnuk", "balmino")
+METHODS = ("auto", "k0", "newcomb", "wnuk", "balmino")
 
 
 @dataclass(frozen=True, order=True)
@@ -53,7 +50,7 @@ class HansenKey:
 
 
 # ---------------------------------------------------------------------------
-# k = 0: closed forms and recursions
+# k = 0: the closed form and the negative-exponent form
 # ---------------------------------------------------------------------------
 
 
@@ -83,54 +80,6 @@ def hansen_k0_closed(n: int, m: int, trunc: int) -> SeriesE:
     return SeriesE(coeffs, trunc)
 
 
-def hansen_k0_recursive(n: int, m: int, trunc: int) -> SeriesE:
-    """X_0^{n,m} through the ascending recursions, seeded from the closed form.
-
-    Seeds X_0^{0,mu} and X_0^{1,mu} for mu in {0,1} come from the closed form;
-    the n-recursion
-        X_0^{n+1,m} = (2n+3)/(n+2) X_0^{n,m}
-                      - (n+1-m)(n+1+m)/((n+1)(n+2)) (1-e^2) X_0^{n-1,m}
-    ascends to the target n, and the m-recursion
-        e X_0^{n,mu+1} = (e (n+mu+1) X_0^{n,mu-1} + 2 mu X_0^{n,mu}) / (n-mu+1)
-    ascends to the target m (the left side divides by e exactly).  A step with
-    n - mu + 1 = 0 falls back to the closed form and is logged.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("recursive route requires n >= 0 and m >= 0")
-    guard = trunc + m + 2
-    one_minus_e2 = sqrt_one_minus_e2(guard, p=2)
-
-    def ascend_n(target_n: int, mu: int) -> SeriesE:
-        prev = hansen_k0_closed(0, mu, guard)
-        if target_n == 0:
-            return prev
-        cur = hansen_k0_closed(1, mu, guard)
-        for nn in range(1, target_n):
-            nxt = cur.scaled(rational(2 * nn + 3, nn + 2)) - (
-                one_minus_e2 * prev
-            ).scaled(rational((nn + 1 - mu) * (nn + 1 + mu), (nn + 1) * (nn + 2)))
-            prev, cur = cur, nxt
-        return cur
-
-    if m <= 1:
-        return ascend_n(n, m).truncate(trunc)
-    two_back = ascend_n(n, 0)
-    one_back = ascend_n(n, 1)
-    for mu in range(1, m):
-        if n - mu + 1 == 0:
-            log.warning(
-                "m-recursion for X_0^{%d,%d} hits n-m+1=0; closed form fallback",
-                n,
-                mu + 1,
-            )
-            nxt = hansen_k0_closed(n, mu + 1, guard)
-        else:
-            rhs = two_back.shifted(1).scaled(n + mu + 1) + one_back.scaled(2 * mu)
-            nxt = rhs.scaled(rational(1, n - mu + 1)).divided_by_e()
-        two_back, one_back = one_back, nxt
-    return one_back.truncate(trunc)
-
-
 def hansen_k0_negative(n: int, m: int, trunc: int) -> SeriesE:
     """X_0^{-(n+1),m} for n >= 0, 0 <= m.
 
@@ -139,7 +88,7 @@ def hansen_k0_negative(n: int, m: int, trunc: int) -> SeriesE:
     an exactly-zero series when m > n-1.  For n = 0 the radius power is a/r and
     X_0^{-1,m} = (-beta)^m with beta = e/(1+sqrt(1-e^2)), in particular 1 for m = 0;
     its powers come from Wnuk's workspace, beta^m = sum_i P_i (e/2)^{m+2i} with
-    integer P_i.  Validated against the quadrature oracle only.
+    integer P_i.  Agrees bit for bit with Newcomb's, Wnuk's and Balmino's routes.
     """
     if n < 0 or m < 0:
         raise ValueError("negative-exponent route requires n >= 0 and m >= 0")
@@ -556,19 +505,16 @@ def hansen(key: HansenKey, trunc: int, method: str = "auto") -> SeriesE:
     """Dispatch on method with the key canonicalized; every call computes afresh.
 
     `auto` runs `k0` for k = 0 and Wnuk's route otherwise.  `k0` is the closed
-    form for n >= 0 and the negative-exponent form for n < 0; `k0rec` is the
-    k = 0 recursion.
+    form for n >= 0 and the negative-exponent form for n < 0.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     ck = key.canonical()
     if method == "auto":
         method = "k0" if ck.k == 0 else "wnuk"
-    if method in ("k0", "k0rec"):
+    if method == "k0":
         if ck.k != 0:
             raise ValueError(f"method {method!r} needs k = 0, got key {key}")
-        if method == "k0rec":
-            return hansen_k0_recursive(ck.n, ck.m, trunc)
         if ck.n >= 0:
             return hansen_k0_closed(ck.n, ck.m, trunc)
         return hansen_k0_negative(-ck.n - 1, abs(ck.m), trunc)

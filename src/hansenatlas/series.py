@@ -7,9 +7,10 @@ and are immutable after construction: all arithmetic returns new values.
 SeriesE stores `Fraction`s; SeriesAE stores integers over one denominator and
 builds `Fraction`s only when asked for them (`c`, `coeff`, `terms`).
 
-SeriesE has the ring operations that the k = 0 recursions need; a
-mixed-order product takes the minimum of each truncation bound.  SeriesAE has
-no arithmetic: it is built whole by `fourier`, truncated and differentiated.
+SeriesE has +, - and * between series; the negative-exponent k = 0 form
+multiplies by (1-e^2)^{-(2n-1)/2} with *, and a mixed-order sum or product
+takes the minimum of each truncation bound.  SeriesAE has no arithmetic: it
+is built whole by `fourier`, truncated and differentiated.
 Evaluation here is exact; double-precision values come from `atlas.PolyEval`,
 which reads the same integer Horner rows (`SeriesAE.horner_rows`, built once
 per series) as `eval_exact`.
@@ -96,39 +97,27 @@ class SeriesE:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, SeriesE):
-            trunc = min(self.trunc, other.trunc)
-            out: Dict[int, Rational] = {}
-            for q1, c1 in self.c.items():
-                if q1 > trunc:
-                    continue
-                for q2, c2 in other.c.items():
-                    q = q1 + q2
-                    if q <= trunc:
-                        out[q] = out.get(q, 0) + c1 * c2
-            _clean(out)
-            return SeriesE(out, trunc, _raw=True)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def scaled(self, scalar: RationalLike) -> "SeriesE":
-        s = rational(scalar)
-        if s == 0:
-            return SeriesE.zero(self.trunc)
-        return SeriesE({q: v * s for q, v in self.c.items()}, self.trunc, _raw=True)
+    def __mul__(self, other: "SeriesE") -> "SeriesE":
+        if not isinstance(other, SeriesE):
+            return NotImplemented
+        trunc = min(self.trunc, other.trunc)
+        out: Dict[int, Rational] = {}
+        for q1, c1 in self.c.items():
+            if q1 > trunc:
+                continue
+            for q2, c2 in other.c.items():
+                q = q1 + q2
+                if q <= trunc:
+                    out[q] = out.get(q, 0) + c1 * c2
+        _clean(out)
+        return SeriesE(out, trunc, _raw=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesE):
             return NotImplemented
         return self.trunc == other.trunc and self.c == other.c
 
-    def __hash__(self):
-        return hash((self.trunc, tuple(sorted(self.c.items()))))
-
-    # -- truncation and shifts ----------------------------------------------
+    # -- truncation ----------------------------------------------------------
 
     def truncate(self, trunc: int) -> "SeriesE":
         if trunc >= self.trunc:
@@ -138,22 +127,6 @@ class SeriesE:
                 f"cannot extend truncation order {self.trunc} to {trunc}"
             )
         return SeriesE({q: v for q, v in self.c.items() if q <= trunc}, trunc, _raw=True)
-
-    def shifted(self, d: int) -> "SeriesE":
-        """Multiply by e^d (d may be negative when every exponent allows it)."""
-        if d < 0 and any(q + d < 0 for q in self.c):
-            raise ValueError("shift would create a negative exponent")
-        return SeriesE(
-            {q + d: v for q, v in self.c.items() if q + d <= self.trunc},
-            self.trunc,
-            _raw=True,
-        )
-
-    def divided_by_e(self) -> "SeriesE":
-        """Exact division by e; the constant term must vanish."""
-        if 0 in self.c:
-            raise ValueError("series is not divisible by e")
-        return self.shifted(-1)
 
     # -- evaluation ----------------------------------------------------------
 

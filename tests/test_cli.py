@@ -86,41 +86,6 @@ def test_hansen_table_runs_the_requested_method(capsys, monkeypatch):
     assert "1 - e^2 + 7/64 e^4 - 5/288 e^6" in out.splitlines()[1]
 
 
-def test_hansen_k0rec_table_runs_the_recursion(capsys, monkeypatch):
-    import importlib
-
-    hansen_module = importlib.import_module("hansenatlas.hansen")
-    real = hansen_module.hansen_k0_recursive
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(hansen_module, "hansen_k0_recursive", counted)
-    code, table, _ = run(
-        capsys, "hansen", "--table", "--method", "k0rec", "--k", "0", "--n", "0..3",
-        "--m", "0..2", "--order", "7", "--format", "csv",
-    )
-    assert code == 0
-    assert len(calls) == 12
-    rows = [line.split(",") for line in table.splitlines()[1:]]
-    for n, row in enumerate(rows):
-        for m, cell in enumerate(row[1:]):
-            code, single, _ = run(
-                capsys, "hansen", "--method", "k0", "--n", str(n), "--m", str(m), "--k", "0",
-                "--order", "7",
-            )
-            assert code == 0
-            assert cell == single.strip()
-    code, _, err = run(
-        capsys, "hansen", "--table", "--method", "k0rec", "--k", "2", "--n", "0..1", "--m", "0..1",
-        "--order", "6",
-    )
-    assert code == 2
-    assert "needs k = 0" in err
-
-
 def test_hansen_table_manifest_records_method_and_format(tmp_path, capsys):
     out_dir = tmp_path / "table"
     code, _, _ = run(
@@ -266,15 +231,11 @@ def test_zeros_explicit_mode_list(tmp_path, capsys):
     assert "modes scanned: 2" in out
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_zeros_mmax_with_explicit_modes_usage_error(tmp_path, capsys, source):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mmax=1\n")
-    mmax = ["--mmax", "1"] if source == "flag" else ["--config", str(cfg)]
+def test_zeros_mmax_with_explicit_modes_usage_error(tmp_path, capsys):
     out_dir = tmp_path / "zz"
     code, out, err = run(
         capsys, "zeros", "--task", "curves", "--order", "10", "--modes", "2,1", "--grid", "32",
-        *mmax, "--out", str(out_dir),
+        "--mmax", "1", "--out", str(out_dir),
     )
     assert code == 2
     assert "--mmax" in err and "--modes" in err
@@ -282,15 +243,11 @@ def test_zeros_mmax_with_explicit_modes_usage_error(tmp_path, capsys, source):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("mmax", ["0", "-2"])
-def test_zeros_mmax_below_one_usage_error(tmp_path, capsys, source, mmax):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"mmax={mmax}\n")
-    given = ["--mmax", mmax] if source == "flag" else ["--config", str(cfg)]
+def test_zeros_mmax_below_one_usage_error(tmp_path, capsys, mmax):
     out_dir = tmp_path / "zz"
     code, out, err = run(
-        capsys, "zeros", "--task", "curves", "--order", "10", "--grid", "32", *given,
+        capsys, "zeros", "--task", "curves", "--order", "10", "--grid", "32", "--mmax", mmax,
         "--out", str(out_dir),
     )
     assert code == 2
@@ -299,15 +256,11 @@ def test_zeros_mmax_below_one_usage_error(tmp_path, capsys, source, mmax):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_zeros_repeated_mode_usage_error(tmp_path, capsys, source):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("modes=1,2;2,1;1,2\n")
-    given = ["--modes", "1,2;2,1;1,2"] if source == "flag" else ["--config", str(cfg)]
+def test_zeros_repeated_mode_usage_error(tmp_path, capsys):
     out_dir = tmp_path / "zz"
     code, out, err = run(
-        capsys, "zeros", "--task", "curves", "--order", "10", "--grid", "32", *given,
-        "--out", str(out_dir),
+        capsys, "zeros", "--task", "curves", "--order", "10", "--grid", "32",
+        "--modes", "1,2;2,1;1,2", "--out", str(out_dir),
     )
     assert code == 2
     assert "usage error: modes given more than once (--modes): (1,2)" in err
@@ -330,7 +283,7 @@ def test_bench_equality_and_timing(capsys):
 
 def test_bench_k0_methods(capsys):
     code, out, _ = run(
-        capsys, "bench", "--methods", "k0,k0rec", "--n", "0..15", "--m", "0..3",
+        capsys, "bench", "--methods", "k0,newcomb,wnuk", "--n", "0..15", "--m", "0..3",
         "--k", "0", "--order", "7",
     )
     assert code == 0
@@ -402,7 +355,7 @@ def test_bench_single_method_claims_no_equality(capsys):
     assert out.splitlines()[0].startswith(" newcomb: ")
 
 
-# -- spotcheck / config / misc -----------------------------------------------------
+# -- spotcheck / misc ------------------------------------------------------------
 
 
 def test_spotcheck_small_point(capsys):
@@ -435,90 +388,61 @@ def test_spotcheck_no_samples_usage_error(capsys):
     assert "samples must be at least 1" in err
 
 
-def test_config_file_supplies_defaults(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid=64\n# comment\n")
-    out_dir = tmp_path / "zz"
-    code, out, _ = run(
-        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2",
-        "--config", str(cfg), "--out", str(out_dir),
-    )
-    assert code == 0
-    assert "grid=64" in out
-
-
-def test_config_flag_spelling_sets_its_option(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("order-e=8\ngrid=64\n")
-    code, out, _ = run(
-        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--config", str(cfg),
-    )
-    assert code == 0
-    assert "order=(10,8) grid=64" in out
-
-
-def test_config_unknown_key_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grd=64\n")
-    code, out, err = run(
-        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--config", str(cfg),
-    )
-    assert code == 2
-    assert "'grd'" in err
-    assert out == ""
-
-
-def test_config_loses_to_explicit_flag_at_its_default(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid=64\n")
-    code, out, _ = run(
-        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--grid", "512",
-        "--config", str(cfg),
-    )
-    assert code == 0
-    assert "grid=512" in out
-
-
-def test_config_value_outside_choices_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=xml\n")
-    code, out, err = run(
-        capsys, "hansen", "--table", "--k", "1", "--n", "0..1", "--m", "0..1", "--order", "4",
-        "--config", str(cfg),
-    )
-    assert code == 2
-    assert "'format'" in err and "'xml'" in err
-    assert out == ""
-
-
-def test_config_boolean_outside_its_words_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("table=ture\n")
-    code, out, err = run(
-        capsys, "hansen", "--k", "1", "--n", "0..1", "--m", "0..1", "--order", "4",
-        "--config", str(cfg),
-    )
-    assert code == 2
-    assert "'table'" in err and "'ture'" in err
-    assert out == ""
-
-
-@pytest.mark.parametrize("word", ["1", "True", "yes"])
-def test_config_boolean_words_set_the_flag(tmp_path, capsys, word):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"table={word}\nformat=csv\n")
-    code, out, _ = run(
-        capsys, "hansen", "--k", "1", "--n", "0..1", "--m", "0..1", "--order", "4",
-        "--config", str(cfg),
-    )
-    assert code == 0
-    assert out.splitlines()[0] == "n,\"X^(n,0)_1\",\"X^(n,1)_1\""
-
-
 def test_usage_error_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["hansen", "--n", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hansen", "--table", "--n", "0..1", "--m", "0", "--k", "0", "--order", "4",
+         "--config", "CFG", "--out", "OUT"],
+        ["fourier", "--m", "2", "--k", "2", "--order", "4", "--config", "CFG", "--out", "OUT"],
+        ["zeros", "--task", "curves", "--order", "6", "--mmax", "2", "--grid", "16",
+         "--config", "CFG", "--out", "OUT"],
+        ["hansen", "--table", "--n", "0..1", "--m", "0", "--k", "0", "--order", "4",
+         "--method", "k0rec", "--out", "OUT"],
+        ["bench", "--methods", "k0,k0rec", "--n", "0..1", "--m", "0", "--k", "0", "--order", "4"],
+    ],
+    ids=["hansen-config", "fourier-config", "zeros-config", "hansen-k0rec", "bench-k0rec"],
+)
+def test_removed_options_usage_error(tmp_path, capsys, argv):
+    # neither a config file nor the k = 0 recursion exists
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# no keys\n")
+    out_dir = tmp_path / "out"
+    argv = [{"CFG": str(cfg), "OUT": str(out_dir)}.get(word, word) for word in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["zeros", "--task", "curves", "--order", "6", "--modes", "5"],
+         "--modes: expected m,k pairs separated by ';', got '5'"),
+        (["zeros", "--task", "curves", "--order", "6", "--modes", "1,2;3,x"],
+         "--modes: expected m,k pairs separated by ';', got '1,2;3,x'"),
+        (["hansen", "--n", "2.5", "--m", "0", "--k", "0", "--order", "4"],
+         "--n: expected an integer or lo..hi, got '2.5'"),
+        (["hansen", "--table", "--n", "0", "--m", "0..b", "--k", "0", "--order", "4"],
+         "--m: expected an integer or lo..hi, got '0..b'"),
+        (["bench", "--methods", "k0", "--k", "x"], "--k: expected an integer or lo..hi, got 'x'"),
+    ],
+    ids=["modes-pair", "modes-int", "n", "m", "bench-k"],
+)
+def test_unparsable_text_names_its_option(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"usage error: {message}" in err
+    assert out == ""
 
 
 def test_jobs_env_default(monkeypatch):
@@ -552,28 +476,6 @@ def test_jobs_below_one_usage_error(monkeypatch, capsys, source, jobs):
         out, err = capsys.readouterr()
         assert "--jobs" in err
     assert f"'{jobs}'" in err
-    assert out == ""
-
-
-def test_config_sets_a_two_value_option(tmp_path, capsys):
-    argv = ["fourier", "--m", "2", "--k", "2", "--order", "6"]
-    _, flag_out, _ = run(capsys, *argv, "--eval", "0.3", "0.1")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("eval=0.3 0.1\n")
-    code, out, _ = run(capsys, *argv, "--config", str(cfg))
-    assert code == 0
-    assert out == flag_out == "-0.06853727022865447\n"
-
-
-@pytest.mark.parametrize("value", ["0.3", "0.3 0.1 0.2", "0.3 x"])
-def test_config_two_value_option_wrong_words_usage_error(tmp_path, capsys, value):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"eval={value}\n")
-    code, out, err = run(
-        capsys, "fourier", "--m", "2", "--k", "2", "--order", "6", "--config", str(cfg)
-    )
-    assert code == 2
-    assert "'eval'" in err
     assert out == ""
 
 

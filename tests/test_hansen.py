@@ -1,5 +1,4 @@
-"""Hansen coefficient routes: closed forms, recursions, operators, symmetries."""
-import logging
+"""Hansen coefficient routes: k = 0 forms, operators, Bessel and multiple sums, symmetries."""
 import math
 from fractions import Fraction
 from typing import Dict
@@ -16,7 +15,6 @@ from hansenatlas.hansen import (
     hansen_balmino,
     hansen_k0_closed,
     hansen_k0_negative,
-    hansen_k0_recursive,
     hansen_newcomb,
     hansen_nmk,
     hansen_table,
@@ -56,27 +54,17 @@ def test_k0_closed_negative_m_symmetry():
     assert hansen_k0_closed(4, -2, 9) == hansen_k0_closed(4, 2, 9)
 
 
-# -- k = 0 recursions -------------------------------------------------------------
-
-
-def test_k0_recursive_examples():
-    assert hansen_k0_recursive(3, 3, 7) == S({3: rational(-35, 8)}, 7)
-    assert hansen_k0_recursive(2, 2, 7) == S({2: rational(5, 2)}, 7)
-    assert hansen_k0_recursive(0, 0, 7) == SeriesE.one(7)
+# -- k = 0 closed form against the recursive routes --------------------------------
 
 
 @pytest.mark.parametrize("n", range(0, 16))
 @pytest.mark.parametrize("m", range(0, 4))
 def test_k0_recursive_matches_closed(n, m):
-    assert hansen_k0_recursive(n, m, 7) == hansen_k0_closed(n, m, 7)
-
-
-def test_k0_recursive_fallback_is_flagged(caplog):
-    # reaching m = n+2 crosses the vanishing divisor n-m+1 = 0
-    with caplog.at_level(logging.WARNING, logger="hansenatlas.hansen"):
-        series = hansen_k0_recursive(0, 2, 7)
-    assert series == hansen_k0_closed(0, 2, 7)
-    assert any("closed form fallback" in r.message for r in caplog.records)
+    # Newcomb's operator recursions and Wnuk's recursion in n share nothing with
+    # the hypergeometric closed form
+    closed = hansen_k0_closed(n, m, 7)
+    assert hansen_newcomb(n, m, 0, 7) == closed
+    assert hansen_wnuk(n, m, 0, 7) == closed
 
 
 # -- k = 0, negative radius exponents ---------------------------------------------
@@ -114,6 +102,16 @@ def test_k0_negative_known_average():
     # X_0^{-4,0} = (1+e^2/2)(1-e^2)^{-5/2}
     expected = sqrt_one_minus_e2(10, p=-5) * S({0: 1, 2: rational(1, 2)}, 10)
     assert hansen_k0_negative(3, 0, 10) == expected
+
+
+def test_k0_negative_matches_the_general_routes():
+    # 40 keys X_0^{n,m}, n = -8..-1, m = 0..4, at order 30
+    for n in range(-8, 0):
+        for m in range(5):
+            key = HansenKey(n, m, 0)
+            k0 = hansen(key, 30, "k0")
+            for method in ("newcomb", "wnuk", "balmino"):
+                assert hansen(key, 30, method) == k0, (n, m, method)
 
 
 # -- Newcomb operators --------------------------------------------------------------

@@ -94,16 +94,6 @@ def test_neutral_elements(a):
     assert (a - a).is_zero()
 
 
-# -- division ------------------------------------------------------------------
-
-
-def test_divided_by_e_exactness():
-    s = S({1: 3, 3: rational(1, 2)}, 5)
-    assert s.divided_by_e() == S({0: 3, 2: rational(1, 2)}, 5)
-    with pytest.raises(ValueError):
-        S({0: 1}, 2).divided_by_e()
-
-
 # -- auxiliary series ---------------------------------------------------------
 
 
