@@ -39,11 +39,11 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import rational
 from .fourier import Mode, fourier_coefficient, g2_modes, t_mk
 from .series import SeriesAE
 
@@ -58,6 +58,7 @@ NEWTON_MAX_ITER = 50
 NEWTON_DAMPING = 0.5
 BISECT_ITER = 54
 TRIANGLE_AREA_THRESHOLD = 1e-3
+TRIANGLE_POOL_LIMIT = 50000  # vertex combinations tried in full; above it, nearest neighbours
 MMAX_CURVES = 12
 MMAX_TRIPLES = 8
 
@@ -675,7 +676,7 @@ def _confirm(
 
     def f_exact(pt: np.ndarray) -> np.ndarray:
         return np.array(
-            [float(s.series.eval_exact(rational(pt[0]), rational(pt[1]))) for s in surfs]
+            [float(s.series.eval_exact(Fraction(pt[0]), Fraction(pt[1]))) for s in surfs]
         )
 
     def raw_jac(pt: np.ndarray) -> np.ndarray:
@@ -842,7 +843,7 @@ def find_triple(
     triangles: List[TriangleReport] = []
     if p12 and p13 and p23:
         combos = []
-        if len(p12) * len(p13) * len(p23) <= 50000:
+        if len(p12) * len(p13) * len(p23) <= TRIANGLE_POOL_LIMIT:
             pool = [(r1, r2, r3) for r1 in p12 for r2 in p13 for r3 in p23]
         else:  # nearest-neighbour matching for pathological point counts
             pool = []

@@ -10,12 +10,13 @@ bench     cross-validated wall-clock comparison of the Hansen methods
 spotcheck series value vs quadrature oracle at one (m,k,a,e)
 
 Exit codes: 0 success, 2 usage error, 3 numerical-domain error,
-4 cross-method disagreement.  An unknown name in `zeros --formats`, a range
-or mode list that does not parse (the message names its option), a negative
-truncation order, `zeros --mmax` below 1 and a mode given twice in
-`zeros --modes` are usage errors.  HANSENATLAS_JOBS sets the default worker
-count; a value of it (under any subcommand) or of `--jobs` that is not an
-integer >= 1 is a usage error too.  With --out DIR all artifacts land in DIR
+4 cross-method disagreement.  An unknown name in `zeros --formats`, that
+option without `--out`, a range or mode list that does not parse (the message
+names its option), a negative truncation order or m, `zeros --mmax` below 1
+and a mode given twice in `zeros --modes` are usage errors; a library
+`ValueError` becomes one, with its message.  HANSENATLAS_JOBS sets the default
+worker count; a value of it (under any subcommand) or of `--jobs` that is not
+an integer >= 1 is a usage error too.  With --out DIR all artifacts land in DIR
 together with a manifest.json naming the inputs, orders and tool version.
 """
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .atlas import DEFAULT_GRID, PolyEval, scan_modes
-from .exact import rational_str
 from .fourier import (
     Mode,
     coefficient_csv,
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="true-anomaly multiple (int or lo..hi)")
     p.add_argument("--k", type=int, required=True, help="mean-anomaly multiple")
     p.add_argument("--order", type=int, required=True, help="truncation order in e")
-    p.add_argument("--method", default="auto", choices=METHODS)
+    p.add_argument("--method", default="wnuk", choices=METHODS)
     p.add_argument("--table", action="store_true", help="emit rows-n by columns-m table")
     p.add_argument("--format", default="text", choices=("text", "csv"))
     p.add_argument("--out")
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default=None, help="explicit list, e.g. '5,-2;3,4'")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--jobs", type=_worker_count, default=default_jobs)
-    p.add_argument("--formats", default=",".join(ZEROS_FORMATS))
+    p.add_argument("--formats", help="comma list of csv,json,svg (default: all); needs --out")
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="timing comparison of Hansen methods")
@@ -207,18 +207,9 @@ def _cmd_hansen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
-    if args.m < 0:
-        print(
-            "m must be non-negative: coprime-set representatives have a positive "
-            "first non-null component (use f_{m,k} = f_{-m,-k})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     order_e = args.order_e if args.order_e is not None else args.order
     mode = Mode(args.m, args.k)
     series = fourier_coefficient(mode, args.order, order_e)
-    if mode.m_star > args.order:
-        print(f"# warning: mode {mode} invisible at a-order {args.order} (needs {mode.m_star})")
     if args.eval is not None:
         value = PolyEval(series).at_point(args.eval[0], args.eval[1])
         print(repr(value))
@@ -239,16 +230,13 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 
 
 def _cmd_tmk(args: argparse.Namespace) -> int:
-    if args.m < 0:
-        print("m must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
     coeff = t_mk(Mode(args.m, args.k))
-    print(f"{rational_str(coeff.t_value)} ({coeff.case_label})")
+    print(f"{coeff.t_value} ({coeff.case_label})")
     return 0
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
-    formats = args.formats.split(",")
+    formats = args.formats.split(",") if args.formats is not None else ZEROS_FORMATS
     unknown = [f for f in formats if f not in ZEROS_FORMATS]
     if unknown:
         print(
@@ -256,6 +244,9 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
             f"choose from {','.join(ZEROS_FORMATS)}",
             file=sys.stderr,
         )
+        return EXIT_USAGE
+    if args.formats is not None and not args.out:
+        print("--formats requires --out", file=sys.stderr)
         return EXIT_USAGE
     order_e = args.order_e if args.order_e is not None else args.order
     modes = _parse_modes(args.modes) if args.modes else None
@@ -267,25 +258,27 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         modes=modes,
     )
-    out = _Outputs(
-        args.out,
-        "zeros",
-        {
-            "task": args.task,
-            "order": args.order,
-            "order_e": order_e,
-            "mmax": report.m_max,
-            "modes": args.modes,
-            "grid": args.grid,
-        },
-    )
-    if "csv" in formats:
-        out.write("curves.csv", curves_csv(report.entries))
-    if "json" in formats:
-        out.write("atlas.json", atlas_json(report))
-    if "svg" in formats:
-        out.write("atlas.svg", render_svg(report, f"task={args.task} order=({args.order},{order_e})"))
-    out.finish()
+    if args.out:  # without --out nothing is rendered
+        out = _Outputs(
+            args.out,
+            "zeros",
+            {
+                "task": args.task,
+                "order": args.order,
+                "order_e": order_e,
+                "mmax": report.m_max,
+                "modes": args.modes,
+                "grid": args.grid,
+            },
+        )
+        if "csv" in formats:
+            out.write("curves.csv", curves_csv(report.entries))
+        if "json" in formats:
+            out.write("atlas.json", atlas_json(report))
+        if "svg" in formats:
+            title = f"task={args.task} order=({args.order},{order_e})"
+            out.write("atlas.svg", render_svg(report, title))
+        out.finish()
     print(f"task={args.task} order=({args.order},{order_e}) grid={args.grid}")
     print(f"modes scanned: {len(report.entries)}")
     print(f"total curves: {report.total_curves}")
@@ -311,9 +304,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not methods:
         print("empty method list", file=sys.stderr)
         return EXIT_USAGE
-    valid = set(METHODS) - {"auto"}
     for i, m in enumerate(methods):
-        if m not in valid:
+        if m not in METHODS:
             print(f"unknown method {m!r}", file=sys.stderr)
             return EXIT_USAGE
         if m in methods[:i]:
@@ -361,9 +353,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_spotcheck(args: argparse.Namespace) -> int:
     order_e = args.order_e if args.order_e is not None else args.order
-    if args.m < 0:
-        print("m must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
     series = fourier_coefficient(Mode(args.m, args.k), args.order, order_e)
     series_value = PolyEval(series).at_point(args.a, args.e)
     oracle_value = oracle_fourier(args.m, args.k, args.a, args.e, args.samples)

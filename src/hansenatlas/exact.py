@@ -1,11 +1,11 @@
-"""Exact rational scalars and the binomial conventions used by the series engines.
+"""Binomial conventions used by the series engines.
 
-Every coefficient at the API of this package is a `fractions.Fraction`: lowest
-terms, positive denominator, normalized on construction, raising on division by
-zero.  The hot exact kernels (Newcomb's, Wnuk's and Balmino's routes, the
-Fourier assembly `fourier._assemble` and `SeriesAE.eval_exact`) run on Python
-ints over common denominators, `SeriesAE` stores its coefficients so, and a
-`Fraction` is built only at the public `SeriesE`/`SeriesAE` boundary.
+Every coefficient at the API of this package is a `fractions.Fraction`, called
+by that name wherever one is built; `str` gives its "num/den" text.  The hot
+exact kernels (Newcomb's, Wnuk's and Balmino's routes, the Fourier assembly
+`fourier._assemble` and `SeriesAE.eval_exact`) run on Python ints over common
+denominators, `SeriesAE` stores its coefficients so, and a `Fraction` is built
+only at the public `SeriesE`/`SeriesAE` boundary.
 """
 from __future__ import annotations
 
@@ -13,29 +13,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
-# the one rational type; the name is kept for callers that record it
+# the one rational type; perfbench records this name
 RATIONAL_BACKEND = "fractions"
-
-Rational = Fraction
-RationalLike = Union[int, Rational]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def rational(num: Union[int, str, float, Rational] = 0, den: int = 1) -> Rational:
-    """Exact rational num/den in lowest terms; accepts "p/q" strings and floats (dyadic, exact)."""
-    if den == 1:
-        return Fraction(num)
-    return Fraction(num, den)
-
-
-def rational_str(x: RationalLike) -> str:
-    """Canonical "num/den" text (plain integer when den == 1)."""
-    q = Fraction(x)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def binomial_general(top: int, p: int) -> int:
@@ -52,22 +31,22 @@ def binomial_general(top: int, p: int) -> int:
     return -c if p & 1 else c
 
 
-def binomial_rational(top: RationalLike, p: int) -> Rational:
+def binomial_rational(top: Union[int, Fraction], p: int) -> Fraction:
     """C(top, p) = top (top-1) ... (top-p+1) / p! for rational top."""
     if p < 0:
         raise ValueError(f"lower binomial index must be non-negative, got {p}")
-    num = ONE
+    num = Fraction(1)
     t = Fraction(top)
     for i in range(p):
         num *= t - i
     return num / math.factorial(p)
 
 
-def pochhammer(x: RationalLike, s: int) -> Rational:
+def pochhammer(x: Union[int, Fraction], s: int) -> Fraction:
     """Rising factorial x (x+1) ... (x+s-1)."""
     if s < 0:
         raise ValueError(f"pochhammer length must be non-negative, got {s}")
-    out = ONE
+    out = Fraction(1)
     q = Fraction(x)
     for i in range(s):
         out *= q + i

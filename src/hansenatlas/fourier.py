@@ -19,9 +19,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exact import Rational, binomial_general, rational, rational_str
+from .exact import binomial_general
 from .hansen import HansenKey, wnuk_scaled_column
 from .series import SeriesAE
 
@@ -68,11 +69,11 @@ def g2_modes(max_abs_sum: int) -> List[Mode]:
     return sorted(out)
 
 
-def legendre_weight(n: int, m: int) -> Rational:
+def legendre_weight(n: int, m: int) -> Fraction:
     """C_{n,m} for n >= 0, |m| <= n, n = m (mod 2); exact and positive."""
     if n < 0 or abs(m) > n or (n - m) % 2 != 0:
         raise ValueError(f"legendre_weight needs |m| <= n and n = m mod 2, got ({n},{m})")
-    return rational(
+    return Fraction(
         math.factorial(m + n) * math.factorial(n - m),
         (4**n) * math.factorial((m + n) // 2) ** 2 * math.factorial((n - m) // 2) ** 2,
     )
@@ -117,7 +118,8 @@ def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
     """
     if mode.m < 0:
         raise ValueError(
-            f"fourier_coefficient needs m >= 0 (coprime-set convention), got {mode}"
+            f"fourier_coefficient needs m >= 0, got {mode}: coprime-set representatives "
+            "have a positive first non-null component (use f_{m,k} = f_{-m,-k})"
         )
     if trunc_a < 0 or trunc_e < 0:
         raise ValueError(f"truncation orders must be non-negative, got ({trunc_a}, {trunc_e})")
@@ -149,48 +151,48 @@ class AsymptoticCoefficient:
     """Leading coefficient t of f_{m,k} ~ 2 t e^{|m-k|} a^{m*} (t a^2 for (0,0))."""
 
     mode: Mode
-    t_value: Rational
+    t_value: Fraction
     case_label: str
     leading_e_power: int
     leading_a_power: int
 
 
-def _t_case_a(m: int, k: int) -> Tuple[Rational, str]:
-    lead = rational(math.factorial(2 * m), (4**m) * math.factorial(m) ** 2)
+def _t_case_a(m: int, k: int) -> Tuple[Fraction, str]:
+    lead = Fraction(math.factorial(2 * m), (4**m) * math.factorial(m) ** 2)
     if k == m:
         return -lead, "A="
     if k > m:
         value = (
             -lead
-            * rational(m * k ** (k - m), k * math.factorial(k - m))
+            * Fraction(m * k ** (k - m), k * math.factorial(k - m))
             / 2 ** (k - m)
         )
         return value, "A-"
-    acc = rational(0)
+    acc = Fraction(0)
     for p in range(m - k + 1):
-        acc += binomial_general(2 * m + 1, m - k - p) * rational(
+        acc += binomial_general(2 * m + 1, m - k - p) * Fraction(
             k**p, math.factorial(p)
         )
     sign = 1 if (k - m + 1) % 2 == 0 else -1
     return sign * lead * acc / 2 ** (m - k), "A+"
 
 
-def _t_case_b(m: int, k: int) -> Tuple[Rational, str]:
-    lead = rational(
+def _t_case_b(m: int, k: int) -> Tuple[Fraction, str]:
+    lead = Fraction(
         math.factorial(2 * m + 2), 2 ** (2 * m + 3) * math.factorial(m + 1) ** 2
     )
     if k == m:
         return -lead, "B="
     if k > m:
-        acc = rational(0)
+        acc = Fraction(0)
         for q in range(max(0, k - m - 3), k - m + 1):
-            term = binomial_general(3, k - m - q) * rational(k**q, math.factorial(q))
+            term = binomial_general(3, k - m - q) * Fraction(k**q, math.factorial(q))
             acc += term if q % 2 == 0 else -term
         sign = 1 if (k - m) % 2 == 0 else -1
         return -sign * lead * acc / 2 ** (k - m), "B-"
-    acc = rational(0)
+    acc = Fraction(0)
     for p in range(m - k + 1):
-        acc += binomial_general(2 * m + 3, m - k - p) * rational(
+        acc += binomial_general(2 * m + 3, m - k - p) * Fraction(
             k**p, math.factorial(p)
         )
     sign = 1 if (k - m + 1) % 2 == 0 else -1
@@ -227,8 +229,8 @@ class ConsistencyReport:
     """Outcome of the series-vs-asymptotics identity for one mode."""
 
     mode: Mode
-    series_coefficient: Rational
-    expected: Rational
+    series_coefficient: Fraction
+    expected: Fraction
     passed: bool
 
 
@@ -262,7 +264,7 @@ def coefficient_rows(series: SeriesAE) -> List[List[str]]:
     out = []
     for n in range(series.trunc_a + 1):
         out.append(
-            [rational_str(series.coeff(n, q)) for q in range(series.trunc_e + 1)]
+            [str(series.coeff(n, q)) for q in range(series.trunc_e + 1)]
         )
     return out
 
@@ -280,7 +282,7 @@ def coefficient_json_obj(mode: Mode, series: SeriesAE) -> dict:
         "order_a": series.trunc_a,
         "order_e": series.trunc_e,
         "terms": [
-            {"a_exp": n, "e_exp": q, "value": rational_str(v)}
+            {"a_exp": n, "e_exp": q, "value": str(v)}
             for (n, q), v in series.terms()
         ],
     }

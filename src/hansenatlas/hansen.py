@@ -1,18 +1,20 @@
 """Hansen coefficients X_k^{n,m}(e) as exact truncated series, by four routes.
 
-The four routes are fully independent and must agree bit-exactly:
+The four routes are fully independent and must agree bit-exactly; `hansen()`
+and `METHODS` name them:
 
-* a hypergeometric closed form for k = 0 and n >= 0, with the
-  negative-exponent form X_0^{-(n+1),m} for n < 0,
-* diagonal sums of Newcomb operators,
-* a Bessel-function expansion in beta = e/(1+sqrt(1-e^2)) (Wnuk's route,
-  `hansen`'s default for k != 0), computed a column at a time:
+* `wnuk`, the default for every key: a Bessel-function expansion in
+  beta = e/(1+sqrt(1-e^2)) (Wnuk's route), computed a column at a time:
   `wnuk_scaled_column` returns X_k^{n,m} for many n at fixed (m, k) from one
   walk of a three-term recursion in n, as integers over trunc! 2^q;
   `hansen_wnuk_column` is its `Fraction` form, `hansen_wnuk` the one-n form,
-* a closed multiple-sum expansion in powers of e/2 (Balmino's route, valid
-  for k - m >= 0; other keys are reached through the X_k^{n,m} = X_{-k}^{n,-m}
-  symmetry).
+  and `fourier` assembles every mode from it,
+* `k0`, for k = 0 only: a hypergeometric closed form for n >= 0, with the
+  negative-exponent form X_0^{-(n+1),m} for n < 0, kept as a cross-check,
+* `newcomb`: diagonal sums of Newcomb operators,
+* `balmino`: a closed multiple-sum expansion in powers of e/2 (Balmino's
+  route, valid for k - m >= 0; other keys are reached through the
+  X_k^{n,m} = X_{-k}^{n,-m} symmetry).
 
 `hansen()` computes every series afresh; there is no result cache.  The routes
 keep their own memos (the Newcomb operator table with its tail weights and
@@ -26,12 +28,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import Rational, binomial_general, pochhammer, rational
+from .exact import binomial_general, pochhammer
 from .series import SeriesE, sqrt_one_minus_e2
 
-METHODS = ("auto", "k0", "newcomb", "wnuk", "balmino")
+METHODS = ("k0", "newcomb", "wnuk", "balmino")
 
 
 @dataclass(frozen=True, order=True)
@@ -64,11 +67,11 @@ def hansen_k0_closed(n: int, m: int, trunc: int) -> SeriesE:
     m = abs(m)
     if m > trunc:
         return SeriesE.zero(trunc)
-    alpha = rational(m - n - 1, 2)
-    beta = rational(m - n, 2)
+    alpha = Fraction(m - n - 1, 2)
+    beta = Fraction(m - n, 2)
     gamma = m + 1
-    lead = rational((-1) ** m * binomial_general(n + m + 1, m), 2**m)
-    coeffs: Dict[int, Rational] = {}
+    lead = Fraction((-1) ** m * binomial_general(n + m + 1, m), 2**m)
+    coeffs: Dict[int, Fraction] = {}
     for s in range((trunc - m) // 2 + 1):
         c = (
             pochhammer(alpha, s)
@@ -97,7 +100,7 @@ def hansen_k0_negative(n: int, m: int, trunc: int) -> SeriesE:
             return SeriesE.zero(trunc)
         sign = -1 if m % 2 else 1
         coeffs = {
-            m + 2 * i: rational(sign * p, 1 << (m + 2 * i))
+            m + 2 * i: Fraction(sign * p, 1 << (m + 2 * i))
             for i, p in enumerate(_workspace(trunc).beta_pows[m])
             if p
         }
@@ -105,14 +108,14 @@ def hansen_k0_negative(n: int, m: int, trunc: int) -> SeriesE:
     top = (n - m - 1) // 2
     if top < 0:
         return SeriesE.zero(trunc)
-    coeffs: Dict[int, Rational] = {}
+    coeffs: Dict[int, Fraction] = {}
     for j in range(top + 1):
         q = 2 * j + m
         if q > trunc:
             break
         c = binomial_general(n - 1, q) * binomial_general(q, j)
         if c:
-            coeffs[q] = rational(c, 2**q)
+            coeffs[q] = Fraction(c, 2**q)
     poly = SeriesE(coeffs, trunc)
     return sqrt_one_minus_e2(trunc, p=-(2 * n - 1)) * poly
 
@@ -187,12 +190,12 @@ class NewcombTable:
         self.values[key] = v
         return v
 
-    def value(self, n: int, m: int, rho: int, sigma: int) -> Rational:
+    def value(self, n: int, m: int, rho: int, sigma: int) -> Fraction:
         """The Newcomb operator X_{rho,sigma}^{n,m}."""
         if rho < 0 or sigma < 0:
-            return rational(0)
+            return Fraction(0)
         scale = math.factorial(rho) * math.factorial(sigma) << 2 * (rho + sigma)
-        return rational(self.scaled(n, m, rho, sigma), scale)
+        return Fraction(self.scaled(n, m, rho, sigma), scale)
 
 
 _NEWCOMB = NewcombTable()
@@ -201,7 +204,7 @@ _NEWCOMB = NewcombTable()
 def hansen_newcomb(n: int, m: int, k: int, trunc: int) -> SeriesE:
     """X_k^{n,m} = sum over rho - sigma = k - m of X_{rho,sigma}^{n,m} e^{rho+sigma}."""
     d = k - m
-    coeffs: Dict[int, Rational] = {}
+    coeffs: Dict[int, Fraction] = {}
     for q in range(abs(d), trunc + 1, 2):
         rho = (q + d) // 2
         sigma = (q - d) // 2
@@ -420,7 +423,7 @@ def hansen_wnuk_column(ns: Sequence[int], m: int, k: int, trunc: int) -> List[Se
     """X_k^{n,m} for every n of `ns` as exact series: `wnuk_scaled_column` over trunc! 2^q."""
     scale, qs = math.factorial(trunc), range(abs(k - m), trunc + 1, 2)
     return [
-        SeriesE({q: rational(v, scale << q) for q, v in zip(qs, xs) if v}, trunc, _raw=True)
+        SeriesE({q: Fraction(v, scale << q) for q, v in zip(qs, xs) if v}, trunc, _raw=True)
         for xs in wnuk_scaled_column(ns, m, k, trunc)
     ]
 
@@ -485,14 +488,14 @@ def hansen_balmino(n: int, m: int, k: int, trunc: int) -> SeriesE:
         for d in range(top_t + 1)
     ]
     sign_s = 1 if s % 2 == 0 else -1
-    coeffs: Dict[int, Rational] = {}
+    coeffs: Dict[int, Fraction] = {}
     for t in range(top_t + 1):
         total = sum(
             sum(map(operator.mul, rows[j], reversed(brackets[t - j][: s + 2 * j + 1])))
             for j in range(t + 1)
         )
         if total:
-            coeffs[s + 2 * t] = rational(sign_s * total, scale << (s + 2 * t))
+            coeffs[s + 2 * t] = Fraction(sign_s * total, scale << (s + 2 * t))
     return SeriesE(coeffs, trunc, _raw=True)
 
 
@@ -501,17 +504,15 @@ def hansen_balmino(n: int, m: int, k: int, trunc: int) -> SeriesE:
 # ---------------------------------------------------------------------------
 
 
-def hansen(key: HansenKey, trunc: int, method: str = "auto") -> SeriesE:
+def hansen(key: HansenKey, trunc: int, method: str = "wnuk") -> SeriesE:
     """Dispatch on method with the key canonicalized; every call computes afresh.
 
-    `auto` runs `k0` for k = 0 and Wnuk's route otherwise.  `k0` is the closed
-    form for n >= 0 and the negative-exponent form for n < 0.
+    Wnuk's route, the default, serves every key.  `k0` serves k = 0 only: the
+    closed form for n >= 0 and the negative-exponent form for n < 0.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     ck = key.canonical()
-    if method == "auto":
-        method = "k0" if ck.k == 0 else "wnuk"
     if method == "k0":
         if ck.k != 0:
             raise ValueError(f"method {method!r} needs k = 0, got key {key}")
@@ -525,7 +526,7 @@ def hansen(key: HansenKey, trunc: int, method: str = "auto") -> SeriesE:
     return hansen_balmino(ck.n, ck.m, ck.k, trunc)
 
 
-def hansen_nmk(n: int, m: int, k: int, trunc: int, method: str = "auto") -> SeriesE:
+def hansen_nmk(n: int, m: int, k: int, trunc: int, method: str = "wnuk") -> SeriesE:
     return hansen(HansenKey(n, m, k), trunc, method)
 
 
@@ -541,18 +542,18 @@ def hansen_table(
     m_values: List[int],
     k: int,
     trunc: int,
-    method: str = "auto",
+    method: str = "wnuk",
     fmt: str = "text",
 ) -> str:
     """Rows n, columns m table of X_k^{n,m} at one truncation order.
 
     `fmt` is "text" (aligned columns) or "csv"; coefficients stay exact.
-    Wnuk's route (`wnuk`, or `auto` with k != 0) computes a column per call.
+    Wnuk's route, the default, computes a column per call.
     """
     header = ["n"] + [f"X^(n,{m})_{k}" for m in m_values]
     columns = []
     for m in m_values:
-        if method == "wnuk" or (method == "auto" and k != 0):
+        if method == "wnuk":
             ck = HansenKey(0, m, k).canonical()
             columns.append(hansen_wnuk_column(n_values, ck.m, ck.k, trunc))
         else:

@@ -4,6 +4,7 @@ SeriesE is a univariate series in the eccentricity e, SeriesAE a bivariate
 series in the semimajor axis a and e.  Both are sparse (no zero coefficient is
 ever stored), keep every exponent within their per-variable truncation bound,
 and are immutable after construction: all arithmetic returns new values.
+Both are built from mappings of `fractions.Fraction` (ints are accepted).
 SeriesE stores `Fraction`s; SeriesAE stores integers over one denominator and
 builds `Fraction`s only when asked for them (`c`, `coeff`, `terms`).
 
@@ -18,9 +19,10 @@ per series) as `eval_exact`.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .exact import Rational, RationalLike, ZERO, binomial_rational, rational, rational_str
+from .exact import binomial_rational
 
 
 def _clean(coeffs: Dict) -> None:
@@ -33,17 +35,19 @@ class SeriesE:
 
     __slots__ = ("c", "trunc")
 
-    def __init__(self, coeffs: Mapping[int, RationalLike], trunc: int, _raw: bool = False):
+    def __init__(
+        self, coeffs: Mapping[int, Union[int, Fraction]], trunc: int, _raw: bool = False
+    ):
         if trunc < 0:
             raise ValueError(f"truncation order must be non-negative, got {trunc}")
         if _raw:
-            self.c: Dict[int, Rational] = coeffs  # type: ignore[assignment]
+            self.c: Dict[int, Fraction] = coeffs  # type: ignore[assignment]
         else:
             self.c = {}
             for q, v in coeffs.items():
                 if q < 0:
                     raise ValueError(f"negative exponent {q}")
-                r = rational(v)
+                r = Fraction(v)
                 if q <= trunc and r != 0:
                     self.c[q] = r
         self.trunc = trunc
@@ -56,12 +60,12 @@ class SeriesE:
 
     @staticmethod
     def one(trunc: int) -> "SeriesE":
-        return SeriesE({0: rational(1)}, trunc)
+        return SeriesE({0: Fraction(1)}, trunc)
 
     # -- inspection --------------------------------------------------------
 
-    def coeff(self, q: int) -> Rational:
-        return self.c.get(q, ZERO)
+    def coeff(self, q: int) -> Fraction:
+        return self.c.get(q, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.c
@@ -70,7 +74,7 @@ class SeriesE:
         """Smallest exponent with non-zero coefficient, or None for the zero series."""
         return min(self.c) if self.c else None
 
-    def terms(self) -> Iterable[Tuple[int, Rational]]:
+    def terms(self) -> Iterable[Tuple[int, Fraction]]:
         return sorted(self.c.items())
 
     # -- ring operations ---------------------------------------------------
@@ -101,7 +105,7 @@ class SeriesE:
         if not isinstance(other, SeriesE):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        out: Dict[int, Rational] = {}
+        out: Dict[int, Fraction] = {}
         for q1, c1 in self.c.items():
             if q1 > trunc:
                 continue
@@ -130,9 +134,9 @@ class SeriesE:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_exact(self, e: RationalLike) -> Rational:
-        ex = rational(e)
-        acc = rational(0)
+    def eval_exact(self, e: Union[int, Fraction]) -> Fraction:
+        ex = Fraction(e)
+        acc = Fraction(0)
         for q in range(self.trunc, -1, -1):
             acc = acc * ex
             v = self.c.get(q)
@@ -146,7 +150,7 @@ class SeriesE:
             return "0"
         parts = []
         for q, v in sorted(self.c.items()):
-            mag = rational_str(abs(v))
+            mag = str(abs(v))
             if q == 0:
                 body = mag
             else:
@@ -172,7 +176,7 @@ class SeriesAE:
 
     def __init__(
         self,
-        coeffs: Mapping[Tuple[int, int], RationalLike],
+        coeffs: Mapping[Tuple[int, int], Union[int, Fraction]],
         trunc_a: int,
         trunc_e: int,
         den: Optional[int] = None,
@@ -180,8 +184,8 @@ class SeriesAE:
         if trunc_a < 0 or trunc_e < 0:
             raise ValueError("truncation orders must be non-negative")
         if den is None:
-            den = math.lcm(*(rational(v).denominator for v in coeffs.values()))
-            coeffs = {key: int(rational(v) * den) for key, v in coeffs.items()}
+            den = math.lcm(*(Fraction(v).denominator for v in coeffs.values()))
+            coeffs = {key: int(Fraction(v) * den) for key, v in coeffs.items()}
         num: Dict[Tuple[int, int], int] = {}
         for (n, q), v in coeffs.items():
             if n < 0 or q < 0:
@@ -202,17 +206,17 @@ class SeriesAE:
         return SeriesAE({}, trunc_a, trunc_e, den=1)
 
     @property
-    def c(self) -> Dict[Tuple[int, int], Rational]:
+    def c(self) -> Dict[Tuple[int, int], Fraction]:
         """The coefficients as a fresh mapping of rationals."""
-        return {key: Rational(v, self.den) for key, v in self.num.items()}
+        return {key: Fraction(v, self.den) for key, v in self.num.items()}
 
-    def coeff(self, n: int, q: int) -> Rational:
-        return Rational(self.num.get((n, q), 0), self.den)
+    def coeff(self, n: int, q: int) -> Fraction:
+        return Fraction(self.num.get((n, q), 0), self.den)
 
     def is_zero(self) -> bool:
         return not self.num
 
-    def terms(self) -> Iterable[Tuple[Tuple[int, int], Rational]]:
+    def terms(self) -> Iterable[Tuple[Tuple[int, int], Fraction]]:
         return sorted(self.c.items())
 
     def __eq__(self, other) -> bool:
@@ -237,7 +241,7 @@ class SeriesAE:
         num = {(n, q - 1): q * v for (n, q), v in self.num.items() if q}
         return SeriesAE(num, self.trunc_a, self.trunc_e, den=self.den)
 
-    def eval_exact(self, a: RationalLike, e: RationalLike) -> Rational:
+    def eval_exact(self, a: Union[int, Fraction], e: Union[int, Fraction]) -> Fraction:
         """Exact value at (a, e), by Horner on Python ints.
 
         With c = C/D (D = `den`), a = A/Da and e = E/De,
@@ -245,10 +249,10 @@ class SeriesAE:
         is an integer (Na, Ne the largest exponents present); a row whose
         exponents share a parity runs in e^2.
         """
-        ar, er = rational(a), rational(e)
+        ar, er = Fraction(a), Fraction(e)
         rows = self.horner_rows()
         if not rows:
-            return ZERO
+            return Fraction(0)
         A, Da = ar.numerator, ar.denominator
         E, De = er.numerator, er.denominator
         E2, De2 = E * E, De * De
@@ -265,7 +269,7 @@ class SeriesAE:
             inner = h * E**lo * De ** (ne - hi)
             acc = acc * A ** (prev_n - n) + inner * Da ** (n_top - n)
             prev_n = n
-        return Rational(acc * A**prev_n, self.den * Da**n_top * De**ne)
+        return Fraction(acc * A**prev_n, self.den * Da**n_top * De**ne)
 
     def horner_rows(self) -> List[Tuple[int, int, int, bool, List[int]]]:
         """Per a-exponent n present, descending: (n, lowest q, highest q,
@@ -291,7 +295,7 @@ class SeriesAE:
             return f"SeriesAE(0; orders ({self.trunc_a},{self.trunc_e}))"
         parts = []
         for (n, q), v in self.terms():
-            factors = [rational_str(v)]
+            factors = [str(v)]
             if n:
                 factors.append("a" if n == 1 else f"a^{n}")
             if q:
@@ -305,8 +309,8 @@ class SeriesAE:
 
 def sqrt_one_minus_e2(trunc: int, p: int = 1) -> SeriesE:
     """(1-e^2)^(p/2) for any integer p, as a truncated binomial series."""
-    half_p = rational(p, 2)
-    coeffs: Dict[int, Rational] = {}
+    half_p = Fraction(p, 2)
+    coeffs: Dict[int, Fraction] = {}
     for j in range(trunc // 2 + 1):
         c = binomial_rational(half_p, j)
         if c != 0:

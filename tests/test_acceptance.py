@@ -19,12 +19,12 @@ counts.  The appear-and-grow regime lives at lower orders (criterion 5f).
 import math
 import multiprocessing as mp
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hansenatlas.atlas import ModeSurface, PolyEval, find_double, find_triple, trace_surface
-from hansenatlas.exact import rational
 from hansenatlas.fourier import (
     Mode,
     asymptotic_consistency,
@@ -69,7 +69,7 @@ def test_criterion1_golden_tables():
         for (n, m), cell in sorted(GOLDEN[k].items()):
             total += 1
             series = hansen_nmk(n, m, k, TRUNC[k])
-            expected = {q: rational(v) for q, v in cell.items()}
+            expected = {q: Fraction(v) for q, v in cell.items()}
             if dict(series.c) != expected:
                 mismatches.append((k, n, m))
     ok = _line(
@@ -130,7 +130,7 @@ def test_criterion3_asymptotic_consistency():
             if not report.passed:
                 failures.append((m, k))
     t00 = t_mk(Mode(0, 0)).t_value
-    if t00 != rational(-1, 4):
+    if t00 != Fraction(-1, 4):
         failures.append(("t00", str(t00)))
     ok = _line(
         "3",
@@ -161,8 +161,8 @@ def test_criterion4_oracle_agreement():
         for m in range(-3, 4):
             for k in range(0, 9):
                 series = hansen_nmk(n, m, k, 38)
-                tail = abs(series.coeff(37) * rational(2, 10) ** 37) + abs(
-                    series.coeff(38) * rational(2, 10) ** 38
+                tail = abs(series.coeff(37) * Fraction(2, 10) ** 37) + abs(
+                    series.coeff(38) * Fraction(2, 10) ** 38
                 )
                 if float(tail) > 1e-11:
                     continue
@@ -450,9 +450,9 @@ def test_criterion6_properties(atlas60):
     problems = []
 
     # series ring laws on deterministic samples
-    a = SeriesE({0: rational(1, 3), 2: -2, 5: rational(7, 4)}, 9)
-    b = SeriesE({1: 4, 3: rational(-1, 6)}, 9)
-    c = SeriesE({0: -1, 4: rational(2, 9)}, 9)
+    a = SeriesE({0: Fraction(1, 3), 2: -2, 5: Fraction(7, 4)}, 9)
+    b = SeriesE({1: 4, 3: Fraction(-1, 6)}, 9)
+    c = SeriesE({0: -1, 4: Fraction(2, 9)}, 9)
     if (a * b) * c != a * (b * c) or a * (b + c) != a * b + a * c:
         problems.append("ring laws")
 

@@ -717,6 +717,28 @@ def test_find_triple_structure_small_order():
             assert max(rep.residuals) <= 1e-12
 
 
+def test_triangle_pool_nearest_neighbours_keep_the_first_triangle(monkeypatch):
+    # (3,4) at order 60 has 2, 3 and 3 pair zeros, 18 combinations: far below
+    # the limit, so lower it to run the nearest-neighbour pool on one tracing
+    traced = {}
+    real = atlas._trace_and_refine
+
+    def trace_once(*args):
+        if args not in traced:
+            traced[args] = real(*args)
+        return traced[args]
+
+    monkeypatch.setattr(atlas, "_trace_and_refine", trace_once)
+    full = find_triple(Mode(3, 4), (60, 60))
+    counts = [len(reports) for _, reports in full.pair_reports]
+    assert counts == [2, 3, 3]
+    monkeypatch.setattr(atlas, "TRIANGLE_POOL_LIMIT", math.prod(counts) - 1)
+    nearest = find_triple(Mode(3, 4), (60, 60))
+    assert len(traced) == 1
+    assert nearest.triangles[0] == full.triangles[0]
+    assert (len(full.triangles), len(nearest.triangles)) == (3, 2)
+
+
 @pytest.mark.parametrize(
     "mode, order, grid_n", [(Mode(1, 2), (12, 12), 64), (Mode(2, 5), (30, 30), 128)]
 )
@@ -976,11 +998,10 @@ def test_svg_render_structure():
 
 
 def test_intersection_residuals_are_exact_evaluations():
-    from hansenatlas.exact import rational
     from hansenatlas.fourier import fourier_coefficient
 
     (rep,) = find_double(Mode(2, 5), (30, 30), 128).pair(1, 2)
     for j, residual in zip((1, 2), rep.residuals):
         series = fourier_coefficient(Mode(2 * j, 5 * j), 30, 30)
-        exact = abs(float(series.eval_exact(rational(rep.point[0]), rational(rep.point[1]))))
+        exact = abs(float(series.eval_exact(Fraction(rep.point[0]), Fraction(rep.point[1]))))
         assert residual == exact

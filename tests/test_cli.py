@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hansenatlas import cli
+from hansenatlas.fourier import Mode, coefficient_csv, fourier_coefficient
 from hansenatlas.series import SeriesE
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -130,18 +131,40 @@ def test_fourier_eval(capsys):
     assert float(out.strip()) == pytest.approx(-0.0075, abs=1e-12)
 
 
-def test_fourier_below_visibility_warns(capsys):
+def test_fourier_below_visibility_warns(capsys, caplog):
+    # the warning goes to the `hansenatlas.fourier` logger; stdout stays CSV
     code, out, _ = run(capsys, "fourier", "--m", "1", "--k", "1", "--order", "2")
     assert code == 0
-    assert "warning" in out
-    rows = [l for l in out.splitlines() if not l.startswith(("#", "a_exp"))]
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert [r.name for r in warnings] == ["hansenatlas.fourier"]
+    assert "mode (1,1) invisible at a-order 2 (needs 3)" in warnings[0].getMessage()
+    assert out == coefficient_csv(fourier_coefficient(Mode(1, 1), 2, 2))
+    rows = out.splitlines()[1:]
     assert all(cell == "0" for row in rows for cell in row.split(",")[1:])
 
 
 def test_fourier_negative_m_usage_error(capsys):
-    code, _, err = run(capsys, "fourier", "--m=-1", "--k", "2", "--order", "4")
+    code, out, err = run(capsys, "fourier", "--m=-1", "--k", "2", "--order", "4")
     assert code == 2
-    assert "first non-null" in err
+    assert out == ""
+    assert "usage error: fourier_coefficient needs m >= 0, got (-1,2)" in err
+    assert "first non-null" in err and "f_{m,k} = f_{-m,-k}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tmk", "--m=-1", "--k", "2"], "t_mk needs m >= 0, got (-1,2)"),
+        (["spotcheck", "--m=-1", "--k", "2", "--a", "0.1", "--e", "0.1", "--order", "4"],
+         "fourier_coefficient needs m >= 0, got (-1,2)"),
+    ],
+    ids=["tmk", "spotcheck"],
+)
+def test_negative_m_usage_error_from_library(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"usage error: {message}" in err
 
 
 def test_fourier_negative_order_usage_error(capsys):
@@ -222,6 +245,32 @@ def test_zeros_negative_order_usage_error(tmp_path, capsys, orders):
     assert not out_dir.exists()
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_zeros_formats_without_out_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scan_modes", _fail)
+    monkeypatch.setattr(cli, "render_svg", _fail)
+    code, out, err = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--grid", "32",
+        "--formats", "svg",
+    )
+    assert code == 2
+    assert "--formats requires --out" in err
+    assert out == ""
+
+
+def test_zeros_without_out_renders_nothing(capsys, monkeypatch):
+    for renderer in ("curves_csv", "atlas_json", "render_svg"):
+        monkeypatch.setattr(cli, renderer, _fail)
+    code, out, _ = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--mmax", "2", "--grid", "32"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "task=curves order=(10,10) grid=32"
+
+
 def test_zeros_explicit_mode_list(tmp_path, capsys):
     code, out, _ = run(
         capsys, "zeros", "--task", "curves", "--order", "20", "--modes", "2,5;1,2",
@@ -299,7 +348,7 @@ def test_bench_disagreement_exit_code(capsys, monkeypatch):
     calls = {"count": 0}
     real = cli.hansen
 
-    def tampered(key, trunc, method="auto"):
+    def tampered(key, trunc, method="wnuk"):
         series = real(key, trunc, method)
         if method == "wnuk":
             return series + SeriesE({0: 1}, series.trunc)
@@ -318,7 +367,7 @@ def test_bench_computes_each_key_once_per_method(capsys, monkeypatch):
     real = cli.hansen
     calls = []
 
-    def counted(key, trunc, method="auto"):
+    def counted(key, trunc, method="wnuk"):
         calls.append((key, method))
         return real(key, trunc, method)
 
@@ -405,11 +454,15 @@ def test_usage_error_exit_code_from_argparse(capsys):
         ["hansen", "--table", "--n", "0..1", "--m", "0", "--k", "0", "--order", "4",
          "--method", "k0rec", "--out", "OUT"],
         ["bench", "--methods", "k0,k0rec", "--n", "0..1", "--m", "0", "--k", "0", "--order", "4"],
+        ["hansen", "--n", "2", "--m", "2", "--k", "0", "--order", "7", "--method", "auto"],
     ],
-    ids=["hansen-config", "fourier-config", "zeros-config", "hansen-k0rec", "bench-k0rec"],
+    ids=[
+        "hansen-config", "fourier-config", "zeros-config", "hansen-k0rec", "bench-k0rec",
+        "hansen-auto",
+    ],
 )
 def test_removed_options_usage_error(tmp_path, capsys, argv):
-    # neither a config file nor the k = 0 recursion exists
+    # neither a config file, nor the k = 0 recursion, nor the `auto` method exists
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# no keys\n")
     out_dir = tmp_path / "out"

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from hansenatlas import fourier
-from hansenatlas.exact import rational
 from hansenatlas.fourier import (
     Mode,
     asymptotic_consistency,
@@ -56,9 +55,9 @@ def test_g2_enumeration():
 
 
 def test_legendre_weight_values():
-    assert legendre_weight(2, 0) == rational(1, 4)
-    assert legendre_weight(2, 2) == rational(3, 8)
-    assert legendre_weight(3, 1) == rational(3, 16)
+    assert legendre_weight(2, 0) == Fraction(1, 4)
+    assert legendre_weight(2, 2) == Fraction(3, 8)
+    assert legendre_weight(3, 1) == Fraction(3, 16)
     assert legendre_weight(0, 0) == 1
     assert legendre_weight(4, -2) == legendre_weight(4, 2)
 
@@ -76,19 +75,19 @@ def test_legendre_weight_parity_errors():
 def test_f00_low_order():
     f = fourier_coefficient(Mode(0, 0), 2, 2)
     assert f == SeriesAE(
-        {(0, 0): -1, (2, 0): rational(-1, 4), (2, 2): rational(-3, 8)}, 2, 2
+        {(0, 0): -1, (2, 0): Fraction(-1, 4), (2, 2): Fraction(-3, 8)}, 2, 2
     )
 
 
 def test_f22_leading():
     assert fourier_coefficient(Mode(2, 2), 2, 0) == SeriesAE(
-        {(2, 0): rational(-3, 4)}, 2, 0
+        {(2, 0): Fraction(-3, 4)}, 2, 0
     )
 
 
 def test_f11_leading():
     assert fourier_coefficient(Mode(1, 1), 3, 0) == SeriesAE(
-        {(3, 0): rational(-3, 8)}, 3, 0
+        {(3, 0): Fraction(-3, 8)}, 3, 0
     )
 
 
@@ -126,7 +125,7 @@ def test_support_parity_and_dalembert():
 def test_f00_a2_cross_check():
     # at e = 0 the a^2 coefficient of f_{0,0} is exactly -1/4
     f = fourier_coefficient(Mode(0, 0), 6, 0)
-    assert f.coeff(2, 0) == rational(-1, 4)
+    assert f.coeff(2, 0) == Fraction(-1, 4)
 
 
 def test_cache_slicing_consistency():
@@ -191,24 +190,24 @@ def test_assemble_makes_one_column_call_per_mode(monkeypatch):
 
 
 def _assemble_reference(mode, trunc_a, trunc_e):
-    """The `Fraction` assembly, the reference for `fourier._assemble`: per-key
-    `hansen()` for k = 0, one Wnuk column otherwise, `legendre_weight` weights."""
+    """The `Fraction` assembly, the reference for `fourier._assemble`: the
+    per-key k = 0 closed forms (`hansen`'s `k0` route) for k = 0, one Wnuk
+    column otherwise, `legendre_weight` weights."""
     m, k = mode.m, mode.k
     mstar = mode.m_star
     terms = {}
     if (m, k) == (0, 0):
-        terms[(0, 0)] = rational(-1)
+        terms[(0, 0)] = Fraction(-1)
         scale = -1
     else:
         scale = -2
     ns = range(mstar, trunc_a + 1, 2)
     key = HansenKey(mstar, m, k).canonical()
     if key.k:
-        # `hansen`'s auto route for k != 0 (Wnuk's), one column for every n;
-        # canonicalizing flips m and k alike for every n
+        # one column for every n; canonicalizing flips m and k alike for every n
         column = hansen_wnuk_column(ns, key.m, key.k, trunc_e)
     else:
-        column = [hansen(HansenKey(n, m, k), trunc_e) for n in ns]
+        column = [hansen(HansenKey(n, m, k), trunc_e, "k0") for n in ns]
     for n, x in zip(ns, column):
         weight = scale * legendre_weight(n, m)
         for q, v in x.c.items():
@@ -244,13 +243,13 @@ def test_assemble_equals_fraction_reference_below_visibility(mode, orders):
 
 def test_tmk_values_and_cases():
     cases = {
-        (2, 2): (rational(-3, 8), "A="),
-        (0, 0): (rational(-1, 4), "B="),
-        (2, 3): (rational(-3, 8), "A-"),
-        (0, 1): (rational(1, 4), "B-"),
-        (1, 4): (rational(7, 128), "B-"),
-        (1, 0): (rational(15, 32), "B+"),
-        (3, 2): (rational(45, 32), "A+"),
+        (2, 2): (Fraction(-3, 8), "A="),
+        (0, 0): (Fraction(-1, 4), "B="),
+        (2, 3): (Fraction(-3, 8), "A-"),
+        (0, 1): (Fraction(1, 4), "B-"),
+        (1, 4): (Fraction(7, 128), "B-"),
+        (1, 0): (Fraction(15, 32), "B+"),
+        (3, 2): (Fraction(45, 32), "A+"),
     }
     for (m, k), (value, label) in cases.items():
         got = t_mk(Mode(m, k))
@@ -270,8 +269,8 @@ def test_asymptotic_consistency_examples():
         rep = asymptotic_consistency(Mode(m, k))
         assert rep.passed, (m, k, rep)
     rep = asymptotic_consistency(Mode(2, 2))
-    assert rep.series_coefficient == rational(-3, 4)
-    assert rep.expected == rational(-3, 4)
+    assert rep.series_coefficient == Fraction(-3, 4)
+    assert rep.expected == Fraction(-3, 4)
 
 
 def test_asymptotic_consistency_order_guard():
@@ -305,9 +304,9 @@ def test_coefficient_json_exact_strings():
 def test_order15_matrices_regenerate():
     # the five standard example modes at order 15 in a and e
     expectations = {
-        (0, 0): ((0, 0), rational(-1)),
-        (1, 0): ((3, 1), rational(15, 16)),   # -2 C_{3,1} X_0^{3,1} leading -5e/2
-        (1, 1): ((3, 0), rational(-3, 8)),
+        (0, 0): ((0, 0), Fraction(-1)),
+        (1, 0): ((3, 1), Fraction(15, 16)),   # -2 C_{3,1} X_0^{3,1} leading -5e/2
+        (1, 1): ((3, 0), Fraction(-3, 8)),
         (2, 5): ((2, 3), None),
         (3, 4): ((3, 1), None),
     }

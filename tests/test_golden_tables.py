@@ -1,13 +1,14 @@
 """Golden reference tables of truncated Hansen series.
 
-The auto route must reproduce every golden entry with exact rational
-equality, and the goldens themselves must agree with the defining-integral
-quadrature at small eccentricity (so the data stays independent of the series
-engines it guards).
+The default route, Wnuk's, must reproduce every golden entry with exact
+rational equality, and the goldens themselves must agree with the
+defining-integral quadrature at small eccentricity (so the data stays
+independent of the series engines it guards).
 """
+from fractions import Fraction
+
 import pytest
 
-from hansenatlas.exact import rational
 from hansenatlas.hansen import hansen_nmk
 from hansenatlas.oracle import oracle_hansen
 
@@ -19,7 +20,7 @@ CASES = [(k, n, m) for k in sorted(GOLDEN) for (n, m) in sorted(GOLDEN[k])]
 @pytest.mark.parametrize("k,n,m", CASES)
 def test_golden_entry_exact(k, n, m):
     series = hansen_nmk(n, m, k, TRUNC[k])
-    expected = {q: rational(v) for q, v in GOLDEN[k][(n, m)].items()}
+    expected = {q: Fraction(v) for q, v in GOLDEN[k][(n, m)].items()}
     assert dict(series.c) == expected
 
 
@@ -32,6 +33,6 @@ QUAD_TOL = {0: 5e-7, 1: 5e-7, 4: 1e-9, 8: 1e-11, 10: 1e-13}
 def test_goldens_match_quadrature(k):
     e = 0.05
     for (n, m), cell in sorted(GOLDEN[k].items()):
-        value = sum(float(rational(c)) * e**q for q, c in cell.items())
+        value = sum(float(Fraction(c)) * e**q for q, c in cell.items())
         reference = oracle_hansen(n, m, k, e, samples=2048)
         assert value == pytest.approx(reference, abs=QUAD_TOL[k]), (k, n, m)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hansenatlas.atlas import PolyEval
-from hansenatlas.exact import rational
 from hansenatlas.hansen import _workspace
 from hansenatlas.series import SeriesAE, SeriesE, sqrt_one_minus_e2
 
@@ -31,8 +30,8 @@ def test_mul_truncation_drops_terms():
 
 
 def test_mul_derived_square():
-    s = S({0: 1, 2: rational(3, 2)}, 4)
-    assert s * s == S({0: 1, 2: 3, 4: rational(9, 4)}, 4)
+    s = S({0: 1, 2: Fraction(3, 2)}, 4)
+    assert s * s == S({0: 1, 2: 3, 4: Fraction(9, 4)}, 4)
 
 
 def test_mixed_orders_take_minimum():
@@ -43,15 +42,15 @@ def test_mixed_orders_take_minimum():
 
 
 def test_truncation_coherence():
-    a = S({0: 1, 1: 2, 2: 3, 3: rational(1, 7)}, 8)
-    b = S({0: 5, 2: rational(-2, 3), 4: 1}, 8)
+    a = S({0: 1, 1: 2, 2: 3, 3: Fraction(1, 7)}, 8)
+    b = S({0: 5, 2: Fraction(-2, 3), 4: 1}, 8)
     n = 4
     assert (a * b).truncate(n) == (a.truncate(n) * b.truncate(n)).truncate(n)
 
 
 def test_no_zero_coefficients_stored():
     s = S({0: 1, 1: 1}, 3) - S({1: 1}, 3)
-    assert s.c == {0: rational(1)}
+    assert s.c == {0: Fraction(1)}
     prod = S({0: 1, 1: 1}, 3) * S({0: 1, 1: -1}, 3)
     assert 1 not in prod.c
 
@@ -72,7 +71,7 @@ def series_e(draw, max_order=12):
     coeffs = {}
     for _ in range(n_terms):
         q = draw(st.integers(min_value=0, max_value=trunc))
-        coeffs[q] = rational(str(draw(rationals)))
+        coeffs[q] = Fraction(str(draw(rationals)))
     return SeriesE(coeffs, trunc)
 
 
@@ -98,7 +97,7 @@ def test_neutral_elements(a):
 
 
 def test_sqrt_series_values():
-    assert sqrt_one_minus_e2(4) == S({0: 1, 2: rational(-1, 2), 4: rational(-1, 8)}, 4)
+    assert sqrt_one_minus_e2(4) == S({0: 1, 2: Fraction(-1, 2), 4: Fraction(-1, 8)}, 4)
     assert sqrt_one_minus_e2(6, p=0) == SeriesE.one(6)
     assert sqrt_one_minus_e2(4, p=2) == S({0: 1, 2: -1}, 4)
 
@@ -117,7 +116,7 @@ def test_sqrt_negative_power_inverse():
 
 
 def _dense_series(dense, lo, trunc, scale=1):
-    return S({lo + 2 * i: rational(c, scale << (lo + 2 * i)) for i, c in enumerate(dense)}, trunc)
+    return S({lo + 2 * i: Fraction(c, scale << (lo + 2 * i)) for i, c in enumerate(dense)}, trunc)
 
 
 def beta_series(trunc):
@@ -130,8 +129,8 @@ def bessel_j_series(t, k, trunc):
 
 
 def test_beta_series_values():
-    assert beta_series(1) == S({1: rational(1, 2)}, 1)
-    assert beta_series(3) == S({1: rational(1, 2), 3: rational(1, 8)}, 3)
+    assert beta_series(1) == S({1: Fraction(1, 2)}, 1)
+    assert beta_series(3) == S({1: Fraction(1, 2), 3: Fraction(1, 8)}, 3)
     assert beta_series(5).coeff(0) == 0
 
 
@@ -144,8 +143,8 @@ def test_beta_identity():
 
 def test_bessel_values():
     assert bessel_j_series(0, 0, 4) == SeriesE.one(4)
-    assert bessel_j_series(1, 2, 3) == S({1: 1, 3: rational(-1, 2)}, 3)
-    assert bessel_j_series(0, 2, 4) == S({0: 1, 2: -1, 4: rational(1, 4)}, 4)
+    assert bessel_j_series(1, 2, 3) == S({1: 1, 3: Fraction(-1, 2)}, 3)
+    assert bessel_j_series(0, 2, 4) == S({0: 1, 2: -1, 4: Fraction(1, 4)}, 4)
 
 
 def test_bessel_constant_term_is_kronecker_delta():
@@ -159,17 +158,17 @@ def test_bessel_constant_term_is_kronecker_delta():
 
 
 def test_eval_float_horner():
-    s = S({0: 1, 2: rational(-1, 2)}, 4)
+    s = S({0: 1, 2: Fraction(-1, 2)}, 4)
     assert float(s.eval_exact(0.5)) == pytest.approx(1 - 0.125, abs=1e-15)
 
 
 def test_eval_exact():
-    s = S({0: 1, 1: rational(1, 3)}, 2)
-    assert s.eval_exact(rational(3, 2)) == rational(3, 2)
+    s = S({0: 1, 1: Fraction(1, 3)}, 2)
+    assert s.eval_exact(Fraction(3, 2)) == Fraction(3, 2)
 
 
 def test_pretty_forms():
-    assert S({2: rational(5, 2)}, 7).pretty() == "5/2 e^2"
+    assert S({2: Fraction(5, 2)}, 7).pretty() == "5/2 e^2"
     assert SeriesE.zero(3).pretty() == "0"
     assert S({1: -1}, 2).pretty() == "-e"
 
@@ -186,7 +185,7 @@ def test_series_ae_truncate():
 
 
 def test_series_ae_eval_horner():
-    s = SeriesAE({(2, 0): rational(-1, 4), (2, 2): rational(-3, 8)}, 2, 2)
+    s = SeriesAE({(2, 0): Fraction(-1, 4), (2, 2): Fraction(-3, 8)}, 2, 2)
     assert PolyEval(s).at_point(0.1, 0.0) == pytest.approx(-0.0025, abs=1e-18)
 
 
@@ -211,14 +210,14 @@ def series_ae(draw, max_order=8):
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         n = draw(st.integers(min_value=0, max_value=ta))
         q = draw(st.integers(min_value=0, max_value=te))
-        coeffs[(n, q)] = rational(str(draw(rationals)))
+        coeffs[(n, q)] = Fraction(str(draw(rationals)))
     return SeriesAE(coeffs, ta, te)
 
 
 @given(
     st.dictionaries(
         st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10)),
-        st.one_of(st.just(rational(0)), rationals),
+        st.one_of(st.just(Fraction(0)), rationals),
         max_size=12,
     ),
     st.integers(min_value=0, max_value=8),
@@ -246,18 +245,18 @@ def test_series_ae_stores_reduced_integers_property(coeffs, ta, te, ta2, te2):
 
 def _term_sum(s, a, e):
     """sum_{n,q} c_nq a^n e^q, term by term in Fraction arithmetic."""
-    a, e = rational(a), rational(e)
-    return sum((v * a**n * e**q for (n, q), v in s.c.items()), rational(0))
+    a, e = Fraction(a), Fraction(e)
+    return sum((v * a**n * e**q for (n, q), v in s.c.items()), Fraction(0))
 
 
 EXACT_POINTS = [
     (0.1877365808308593, 0.8997775438185494),  # dyadic: a float
-    (rational(1, 3), rational(7, 10)),  # non-dyadic
+    (Fraction(1, 3), Fraction(7, 10)),  # non-dyadic
     (0, 0),
-    (0, rational(7, 10)),
-    (rational(1, 3), 0),
-    (-0.25, rational(-7, 10)),  # negative
-    (rational(-2, 3), 0.5),
+    (0, Fraction(7, 10)),
+    (Fraction(1, 3), 0),
+    (-0.25, Fraction(-7, 10)),  # negative
+    (Fraction(-2, 3), 0.5),
 ]
 
 
@@ -266,9 +265,9 @@ def test_series_ae_eval_exact_matches_term_sum(a, e):
     # rows of both parities, mixed parity in one row, denominators 1..9
     s = SeriesAE(
         {
-            (0, 0): rational(1, 3), (1, 1): rational(-5, 7), (1, 4): 2,
-            (3, 0): rational(11, 6), (3, 2): rational(-1, 9), (3, 6): rational(3, 5),
-            (4, 3): -4, (4, 4): rational(1, 8), (6, 5): rational(-2, 9),
+            (0, 0): Fraction(1, 3), (1, 1): Fraction(-5, 7), (1, 4): 2,
+            (3, 0): Fraction(11, 6), (3, 2): Fraction(-1, 9), (3, 6): Fraction(3, 5),
+            (4, 3): -4, (4, 4): Fraction(1, 8), (6, 5): Fraction(-2, 9),
         },
         6, 6,
     )
@@ -291,4 +290,4 @@ def test_series_ae_eval_exact_property(s, a, e):
 
 
 def test_series_ae_eval_exact_zero_series():
-    assert SeriesAE.zero(4, 4).eval_exact(rational(1, 3), 0.5) == 0
+    assert SeriesAE.zero(4, 4).eval_exact(Fraction(1, 3), 0.5) == 0
