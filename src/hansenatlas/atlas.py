@@ -18,11 +18,11 @@ grid's signs -> chained polylines (ZeroCurve) -> pairwise-proximity
 seeds -> damped Newton in float from every seed, on fhat with the float Horner
 of the exact derivative series as Jacobian, all seeds in lockstep with one
 batched `PolyEval.at_points` per surface and series per round -> dedupe of
-the converged points -> one exact residual check, polished if needed, per
-distinct point (IntersectionReport) -> near-triple triangles with
+the converged points -> one exact residual check per distinct point, at the
+float Newton's point (IntersectionReport) -> near-triple triangles with
 area/incenter/inradius (TriangleReport).  A triple zero is certified only
-when a Gauss-Newton solve of the full 3-system, confirmed the same way,
-reaches residuals <= RESIDUAL_TOL on all three coefficients.
+when a Gauss-Newton solve of the full 3-system, checked the same way, has
+exact residuals <= RESIDUAL_TOL on all three coefficients.
 
 `trace_surface` is the one tracer.  `find_double` (j = 1, 2) and
 `find_triple` (j = 1, 2, 3) trace f_{jm,jk} once each and return a
@@ -667,39 +667,19 @@ def _newton_batch(
 
 
 def _confirm(
-    surfs: Sequence[ModeSurface], x: Tuple[float, float], iterations: int
-) -> Optional[Tuple[Tuple[float, float], Tuple[float, ...], int]]:
-    """Exact check of a float-converged point: the raw residuals, evaluated
-    exactly (float Horner roundoff can hide above the tolerance), must reach
-    |f_j| <= RESIDUAL_TOL within 10 polish steps, each counted as an iteration,
-    and then |fhat_j| <= EPS_CURVE.  Returns (point, residuals, iterations)."""
-
-    def f_exact(pt: np.ndarray) -> np.ndarray:
-        return np.array(
-            [float(s.series.eval_exact(Fraction(pt[0]), Fraction(pt[1]))) for s in surfs]
-        )
-
-    def raw_jac(pt: np.ndarray) -> np.ndarray:
-        return np.array([[s.da.at_point(*pt), s.de.at_point(*pt)] for s in surfs])
-
-    x = np.array(x, dtype=float)
-    Fe = f_exact(x)
-    for _ in range(10):
-        if np.max(np.abs(Fe)) <= RESIDUAL_TOL:
-            break
-        step = _step(Fe, raw_jac(x))
-        if step is None:
-            return None
-        xn = x + step
-        if not (0.0 < xn[0] < 1.0 and 0.0 < xn[1] < 1.0):
-            return None
-        x = xn
-        Fe = f_exact(x)
-        iterations += 1
-    fhat = _fhat_and_jacobians(surfs, x[None])[0][0]
-    if np.max(np.abs(Fe)) > RESIDUAL_TOL or np.max(np.abs(fhat)) > EPS_CURVE:
+    surfs: Sequence[ModeSurface], x: Tuple[float, float]
+) -> Optional[Tuple[float, ...]]:
+    """Exact certificate of a float-converged point: each raw residual f_j,
+    evaluated once and exactly (float Horner roundoff can hide above the
+    tolerance), must satisfy |f_j| <= RESIDUAL_TOL, and each |fhat_j| <=
+    EPS_CURVE.  Returns the |f_j|, or None when either test fails."""
+    residuals = tuple(
+        abs(float(s.series.eval_exact(Fraction(x[0]), Fraction(x[1])))) for s in surfs
+    )
+    fhat = _fhat_and_jacobians(surfs, np.array([x]))[0][0]
+    if max(residuals) > RESIDUAL_TOL or np.max(np.abs(fhat)) > EPS_CURVE:
         return None
-    return (float(x[0]), float(x[1])), tuple(abs(float(v)) for v in Fe), iterations
+    return residuals
 
 
 def _refine_pair(
@@ -727,11 +707,11 @@ def _refine_pair(
     for (x, iters), seed in sorted(converged, key=lambda c: c[0][0]):
         if any(_dist(x, kept[0]) <= DEDUPE_TOL for kept in confirmed):
             continue
-        res = _confirm(pair, x, iters)
-        if res is None:
+        residuals = _confirm(pair, x)
+        if residuals is None:
             dropped.append(seed)
         else:
-            confirmed.append(res)
+            confirmed.append((x, residuals, iters))
     for seed in dropped:
         log.info("mode %s %s: Newton dropped seed (%.6f, %.6f)", mode, multiples, *seed)
     reports = []
@@ -876,10 +856,9 @@ def find_triple(
     certificates: List[TripleZeroCertificate] = []
     triple = (surfs[1], surfs[2], surfs[3])
     incenters = [tri.incenter for tri in triangles[:5]]
-    for converged in _newton_batch(triple, incenters):
-        confirmed = converged and _confirm(triple, *converged)
-        if confirmed:
-            point, residuals, _ = confirmed
+    for point, _ in filter(None, _newton_batch(triple, incenters)):
+        residuals = _confirm(triple, point)
+        if residuals is not None:
             certificates.append(
                 TripleZeroCertificate(mode, order, point, residuals)  # type: ignore[arg-type]
             )

@@ -9,7 +9,8 @@ zeros     zero-curve / double-zero / triple-zero atlases (CSV/JSON/SVG)
 bench     cross-validated wall-clock comparison of the Hansen methods
 spotcheck series value vs quadrature oracle at one (m,k,a,e)
 
-Exit codes: 0 success, 2 usage error, 3 numerical-domain error,
+Exit codes: 0 success (also when the reader of stdout closes it early, as
+`| head` does), 2 usage error, 3 numerical-domain error,
 4 cross-method disagreement.  An unknown name in `zeros --formats`, that
 option without `--out`, a range or mode list that does not parse (the message
 names its option), a negative truncation order or m, `zeros --mmax` below 1
@@ -80,25 +81,20 @@ def _parse_modes(text: str) -> List[Mode]:
 
 
 class _Outputs:
-    """Collects artifacts under --out and writes the manifest."""
+    """Writes artifacts into the --out directory and then the manifest."""
 
-    def __init__(self, out_dir: Optional[str], command: str, args: Dict[str, object]):
-        self.dir = Path(out_dir) if out_dir else None
+    def __init__(self, out_dir: str, command: str, args: Dict[str, object]):
+        self.dir = Path(out_dir)
         self.command = command
         self.args = args
         self.written: List[str] = []
-        if self.dir:
-            self.dir.mkdir(parents=True, exist_ok=True)
+        self.dir.mkdir(parents=True, exist_ok=True)
 
     def write(self, name: str, content: str) -> None:
-        if self.dir is None:
-            return
         (self.dir / name).write_text(content)
         self.written.append(name)
 
     def finish(self) -> None:
-        if self.dir is None:
-            return
         manifest = {
             "tool": "hansenatlas",
             "version": __version__,
@@ -190,11 +186,12 @@ def _cmd_hansen(args: argparse.Namespace) -> int:
     if args.table:
         text = hansen_table(n_values, m_values, args.k, args.order, args.method, args.format)
         print(text, end="")
-        manifest_args = {"n": args.n, "m": args.m, "k": args.k, "order": args.order,
-                         "method": args.method, "format": args.format}
-        out = _Outputs(args.out, "hansen", manifest_args)
-        out.write(f"hansen_table_k{args.k}.{args.format if args.format=='csv' else 'txt'}", text)
-        out.finish()
+        if args.out:
+            manifest_args = {"n": args.n, "m": args.m, "k": args.k, "order": args.order,
+                             "method": args.method, "format": args.format}
+            out = _Outputs(args.out, "hansen", manifest_args)
+            out.write(f"hansen_table_k{args.k}.{args.format if args.format=='csv' else 'txt'}", text)
+            out.finish()
         return 0
     if len(n_values) != 1 or len(m_values) != 1:
         print("ranges require --table", file=sys.stderr)
@@ -215,17 +212,18 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
         print(repr(value))
     else:
         print(coefficient_csv(series), end="")
-    out = _Outputs(
-        args.out,
-        "fourier",
-        {"m": args.m, "k": args.k, "order": args.order, "order_e": order_e},
-    )
-    out.write(f"fourier_{args.m}_{args.k}.csv", coefficient_csv(series))
-    out.write(
-        f"fourier_{args.m}_{args.k}.json",
-        json.dumps(coefficient_json_obj(mode, series), indent=2) + "\n",
-    )
-    out.finish()
+    if args.out:
+        out = _Outputs(
+            args.out,
+            "fourier",
+            {"m": args.m, "k": args.k, "order": args.order, "order_e": order_e},
+        )
+        out.write(f"fourier_{args.m}_{args.k}.csv", coefficient_csv(series))
+        out.write(
+            f"fourier_{args.m}_{args.k}.json",
+            json.dumps(coefficient_json_obj(mode, series), indent=2) + "\n",
+        )
+        out.finish()
     return 0
 
 
@@ -373,7 +371,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head`): send what is left to /dev/null so
+        # the flush at exit cannot fail again, and exit 0
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

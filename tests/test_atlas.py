@@ -3,6 +3,7 @@
 Everything here runs at small orders/grids; the order-60 reproduction lives
 in the acceptance suite.
 """
+import dataclasses
 import itertools
 import logging
 import math
@@ -781,18 +782,71 @@ def test_failed_confirmation_falls_back_to_next_cluster_member(monkeypatch):
         converged.extend(res for res in results if res is not None)
         return results
 
-    def first_fails(surfs, x, iterations):
-        confirms.append((surfs, x, iterations))
-        return None if len(confirms) == 1 else confirm(surfs, x, iterations)
+    def first_fails(surfs, x):
+        confirms.append((surfs, x))
+        return None if len(confirms) == 1 else confirm(surfs, x)
 
     monkeypatch.setattr(atlas, "_newton_batch", recording_newton)
     monkeypatch.setattr(atlas, "_confirm", first_fails)
     (rep,) = find_double(Mode(2, 5), (30, 30), 128).pair(1, 2)
     first, second = sorted(converged, key=lambda r: r[0])[:2]
     assert math.dist(first[0], second[0]) <= atlas.DEDUPE_TOL
-    assert [(x, it) for _, x, it in confirms] == [first, second]
+    assert [x for _, x in confirms] == [first[0], second[0]]
     surfs = confirms[1][0]
-    assert (rep.point, rep.residuals, rep.newton_iterations) == confirm(surfs, *second)
+    point, iterations = second
+    assert (rep.point, rep.residuals, rep.newton_iterations) == (
+        point, confirm(surfs, point), iterations
+    )
+
+
+def test_confirmation_is_one_exact_residual_per_surface(monkeypatch, caplog):
+    # with a zero tolerance no exact residual passes: every float-converged
+    # seed is tried in turn, costs one `eval_exact` per surface and is
+    # dropped; nothing moves the point to lower its residual
+    monkeypatch.setattr(atlas, "RESIDUAL_TOL", 0.0)
+    calls, runs = [], []
+    eval_exact, newton_batch = SeriesAE.eval_exact, atlas._newton_batch
+    monkeypatch.setattr(
+        SeriesAE, "eval_exact", lambda self, *xs: calls.append(xs) or eval_exact(self, *xs)
+    )
+
+    def recording_newton(surfs, seeds):
+        results = newton_batch(surfs, seeds)
+        runs.append((seeds, results))
+        return results
+
+    monkeypatch.setattr(atlas, "_newton_batch", recording_newton)
+    with caplog.at_level(logging.INFO, logger="hansenatlas.atlas"):
+        assert find_double(Mode(2, 5), (30, 30), 128).pair(1, 2) == ()
+    ((seeds, results),) = runs
+    converged = [seed for seed, res in zip(seeds, results) if res is not None]
+    assert len(converged) > 1
+    assert len(calls) == 2 * len(converged)
+    dropped = [r.getMessage() for r in caplog.records if "Newton dropped seed" in r.getMessage()]
+    assert sorted(dropped) == sorted(
+        f"mode (2,5) (1, 2): Newton dropped seed ({a:.6f}, {e:.6f})" for a, e in seeds
+    )
+
+
+def test_refined_point_off_a_parent_polyline_is_not_reported(caplog):
+    # f_{4,10}'s curves moved up by three grid steps still cross f_{2,5}'s,
+    # and Newton from there reaches the true common zero, which then lies
+    # more than two grid steps from the moved polylines
+    mode, order, grid_n = Mode(2, 5), (30, 30), 128
+    surfs = {j: ModeSurface(mode.multiple(j), order) for j in (1, 2)}
+    curves = {j: tuple(trace_surface(s, grid_n)) for j, s in surfs.items()}
+    (true,) = atlas._refine_pair(surfs, curves, (1, 2), grid_n)
+    shift = 3.0 / grid_n
+    curves[2] = tuple(
+        dataclasses.replace(c, points=tuple((a, e + shift) for a, e in c.points))
+        for c in curves[2]
+    )
+    assert atlas._polyline_distance(curves[2], true.point) > 2.0 / grid_n
+    with caplog.at_level(logging.INFO, logger="hansenatlas.atlas"):
+        assert atlas._refine_pair(surfs, curves, (1, 2), grid_n) == ()
+    assert [r.getMessage() for r in caplog.records].count(
+        "mode (2,5): refined point strayed from parent polylines"
+    ) == 1
 
 
 # -- the lockstep Newton against its per-seed loop ----------------------------

@@ -1,6 +1,8 @@
 """Command-line surface: flags, formats, exit codes, reproducibility."""
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +131,42 @@ def test_fourier_eval(capsys):
     )
     assert code == 0
     assert float(out.strip()) == pytest.approx(-0.0075, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "extra, built",
+    [((), {"csv": 1, "json": 0}), (("--eval", "0.1", "0.2"), {"csv": 0, "json": 0})],
+    ids=["matrix", "eval"],
+)
+def test_fourier_without_out_renders_no_artifact(capsys, monkeypatch, extra, built):
+    counts = {"csv": 0, "json": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "coefficient_csv", counting("csv", cli.coefficient_csv))
+    monkeypatch.setattr(cli, "coefficient_json_obj", counting("json", cli.coefficient_json_obj))
+    code, _, _ = run(capsys, "fourier", "--m", "5", "--k", "-2", "--order", "12", *extra)
+    assert code == 0
+    assert counts == built
+
+
+def test_fourier_out_writes_matrix_json_and_manifest(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "fourier", "--m", "5", "--k", "-2", "--order", "12", "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fourier_5_-2.csv", "fourier_5_-2.json", "manifest.json"
+    ]
+    assert (tmp_path / "fourier_5_-2.csv").read_text() == out
+    assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == [
+        "fourier_5_-2.csv", "fourier_5_-2.json"
+    ]
 
 
 def test_fourier_below_visibility_warns(capsys, caplog):
@@ -337,6 +375,28 @@ def test_bench_k0_methods(capsys):
     )
     assert code == 0
     assert "equality verified on 64 keys" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_bench_into_a_closed_pipe_exits_0_quietly(unbuffered):
+    # the reader closes the pipe before anything is written, like `| head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "hansenatlas.cli", "bench", "--methods", "wnuk",
+                "--n", "0..2", "--m", "0", "--k", "0", "--order", "4",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")
 
 
 def test_bench_empty_methods_usage_error(capsys):
