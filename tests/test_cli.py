@@ -673,6 +673,22 @@ ZEROS_DIGESTS = {
             "atlas.json": "407e268f836005d49d925993ebf8c8b56362c7a712b75468c16231b36b65bdbe",
         },
     ),
+    # the benchmark's curves-hires command: 44 surfaces on 4.2 M nodes each
+    "curves-hires": (
+        ("--task", "curves", "--order", "20", "--mmax", "8", "--grid", "2048"),
+        {
+            "curves.csv": "f4ee7241cfb38c85b397b2c0104e7e7296ad42b8215e8c32ee0fa1e1399c0de4",
+            "atlas.json": "c7e1afdf90e47b051c8888951a6b8f2d9b20f47df47ae47e5d212bd61622f9e3",
+        },
+    ),
+    # N_e = 140: the top powers e^q underflow on the grid's first columns
+    "triple-order-e-140": (
+        ("--task", "triple", "--order", "40", "--order-e", "140", "--modes", "5,-2"),
+        {
+            "curves.csv": "2270c3fb22da3e3432b71813052e72eb22f99a1950c27a272900655db5af5cb5",
+            "atlas.json": "3df3c8a8e7e21cc1833bcb06d84fbcc2486a735927b0ed4b6e93cb207c9f293b",
+        },
+    ),
 }
 
 
