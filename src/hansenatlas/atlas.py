@@ -8,21 +8,24 @@ whose zero set in (0,1)^2 coincides with that of f_{m,k} away from the axes;
 the raw coefficient vanishes identically on e = 0 (for m != k) and a = 0,
 which would flood a sign-based tracer with boundary artifacts.
 
-Pipeline per mode: sign grid on [delta, 1-delta]^2 (`PolyEval.grid_signs`:
-one matrix product per row block of about GRID_BLOCK nodes, with Horner's
-error bound from a second product on |C|; a sign inside the bound is taken
-from the exact value) -> marching squares on arrays (each cell's corner
-pattern picks its segments from a 16-row case table; edges are integer ids)
-with per-edge bisection on sparse Horner (`PolyEval.at`), started from the
-grid's signs -> chained polylines (ZeroCurve) -> pairwise-proximity
-seeds -> damped Newton in float from every seed, on fhat with the float Horner
-of the exact derivative series as Jacobian, all seeds in lockstep with one
-batched `PolyEval.at_points` per surface and series per round -> dedupe of
-the converged points -> one exact residual check per distinct point, at the
-float Newton's point (IntersectionReport) -> near-triple triangles with
-area/incenter/inradius (TriangleReport).  A triple zero is certified only
-when a Gauss-Newton solve of the full 3-system, checked the same way, has
-exact residuals <= RESIDUAL_TOL on all three coefficients.
+Pipeline per mode: box pass on the grid of [delta, 1-delta]^2 (boxes of
+BOX x BOX cells, each signed where `enclose.Enclosure`'s certified bounds
+allow) -> exact node signs in the open boxes only (`PolyEval.strip_signs`: one
+matrix product per strip of open boxes, with Horner's error bound from a
+second product on |C|; a sign inside the bound is taken from the exact
+value) -> marching squares on arrays, in one pass over the open strips side
+by side (each cell's corner pattern picks its segments from a 16-row case
+table; edges are integer ids) with per-edge bisection on sparse Horner
+(`PolyEval.at`), started from the grid's signs -> chained polylines
+(ZeroCurve) -> pairwise-proximity seeds -> damped Newton in float from every
+seed, on fhat with the float Horner of the exact derivative series as
+Jacobian, all seeds in lockstep with one batched `PolyEval.at_points` per
+surface and series per round -> dedupe of the converged points -> one exact
+residual check per distinct point, at the float Newton's point
+(IntersectionReport) -> near-triple triangles with area/incenter/inradius
+(TriangleReport).  A triple zero is certified only when a Gauss-Newton solve
+of the full 3-system, checked the same way, has exact residuals <=
+RESIDUAL_TOL on all three coefficients.
 
 `trace_surface` is the one tracer.  `find_double` (j = 1, 2) and
 `find_triple` (j = 1, 2, 3) trace f_{jm,jk} once each and return a
@@ -44,6 +47,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .enclose import BOX, Enclosure, box_corners
 from .fourier import Mode, fourier_coefficient, g2_modes, t_mk
 from .series import SeriesAE
 
@@ -53,7 +57,6 @@ EPS_CURVE = 1e-9
 RESIDUAL_TOL = 1e-12
 DEDUPE_TOL = 1e-6
 DEFAULT_GRID = 512
-GRID_BLOCK = 1 << 15  # grid nodes per block; 2^17 trips OpenBLAS threading on 2 cores
 NEWTON_MAX_ITER = 50
 NEWTON_DAMPING = 0.5
 BISECT_ITER = 54
@@ -146,17 +149,22 @@ class PolyEval:
                 R += Ce[n]
         return R
 
-    def grid_signs(self, a: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, int]:
-        """(S, settled): S[i, j] is True where the exact value of the series
-        this evaluator was built from at the float node (a[i], e[j]) is
-        positive, for 1-D axes with values in [0, 1]; `settled` counts the
-        nodes that the float bound could not decide and `eval_exact` did.
+    def strip_signs(
+        self, a: np.ndarray, e: np.ndarray, strips: Sequence[Tuple[slice, np.ndarray]]
+    ) -> Tuple[List[np.ndarray], int]:
+        """(blocks, settled): for each strip (rows, cols) of `strips`, a slice
+        of `a` and an index array or slice of `e`, blocks[s][i, j] is True
+        where the exact value of the series this evaluator was built from at
+        the float node (a[rows][i], e[cols][j]) is positive, for 1-D axes
+        with values in [0, 1]; `settled` counts the nodes that the float
+        bound could not decide and `eval_exact` did.  Strips that share no
+        node evaluate each node once.
 
-        On the tensor grid p(a_i, e_j) = sum_q R_q(a_i) e_j^q, so a block of
-        about GRID_BLOCK nodes is one matrix product V = R[rows] @ E, with R
-        the a-Horner of the nonzero e-columns over the whole axis and
-        E[q, j] = e_j^q.  A second product, [gamma*|R|, 1] @ [E; mu] with |R|
-        the a-Horner on |C|, gives the bound T = gamma*B + mu.  A node with
+        On the tensor grid p(a_i, e_j) = sum_q R_q(a_i) e_j^q, so a strip is
+        one matrix product V = R[rows] @ E[:, cols], with R the a-Horner of
+        the nonzero e-columns and E[q, j] = e_j^q, both taken once over the
+        whole axes.  A second product, [gamma*|R|, 1] @ [E; mu] with |R| the
+        a-Horner on |C|, gives the bound T = gamma*B + mu.  A node with
         |V| > T has the sign of V; any other node, NaN and inf included, is
         evaluated exactly.
 
@@ -181,10 +189,9 @@ class PolyEval:
         """
         a = np.asarray(a, dtype=float)
         e = np.asarray(e, dtype=float)
-        S = np.zeros((len(a), len(e)), dtype=bool)
         cols = self._cols
-        if not len(cols):
-            return S, 0
+        if not len(cols) or not len(strips):
+            return [np.zeros((len(a[r]), len(e[c])), dtype=bool) for r, c in strips], 0
         m = len(cols)
         top_a = int(np.flatnonzero(self._nz_rows)[-1])
         k = 2 * (top_a + int(cols[0]) + 1)
@@ -200,26 +207,29 @@ class PolyEval:
         E = powers[cols]
         tiny = np.finfo(float).tiny
         Eb = np.vstack([E, np.where(E[0] >= tiny, 2.0 * tiny, np.inf)])
-        # one set of block buffers: fresh ones would fault in new pages per block
-        step = max(1, GRID_BLOCK // len(e))
-        V = np.empty((step, len(e)))
-        T = np.empty((step, len(e)))
-        sure = np.empty((step, len(e)), dtype=bool)
+        blocks = []
         settled = 0
-        for i in range(0, len(a), step):
-            n = min(step, len(a) - i)
-            rows = slice(i, i + n)
-            np.matmul(R[rows], E, out=V[:n])
-            np.matmul(Rb[rows], Eb, out=T[:n])
-            np.greater(V[:n], 0.0, out=S[rows])
-            np.abs(V[:n], out=V[:n])
-            np.greater(V[:n], T[:n], out=sure[:n])
-            if sure[:n].all():
-                continue
-            for di, j in zip(*np.nonzero(~sure[:n])):
-                S[i + di, j] = self.series.eval_exact(float(a[i + di]), float(e[j])) > 0
-                settled += 1
-        return S, settled
+        for rows, strip_cols in strips:
+            V = R[rows] @ E[:, strip_cols]
+            T = Rb[rows] @ Eb[:, strip_cols]
+            S = V > 0.0
+            unsure = ~(np.abs(V) > T)
+            if unsure.any():
+                ar, er = a[rows], e[strip_cols]
+                for i, j in zip(*np.nonzero(unsure)):
+                    S[i, j] = self.series.eval_exact(float(ar[i]), float(er[j])) > 0
+                    settled += 1
+            blocks.append(S)
+        return blocks, settled
+
+    def grid_signs(self, a: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, int]:
+        """(S, settled): `strip_signs` on the whole grid, S[i, j] for the node
+        (a[i], e[j]), in strips of BOX rows."""
+        strips = [(slice(i, i + BOX), slice(None)) for i in range(0, len(a), BOX)]
+        blocks, settled = self.strip_signs(a, e, strips)
+        if not blocks:
+            return np.zeros((0, len(e)), dtype=bool), settled
+        return np.vstack(blocks), settled
 
     def at_points(self, a: Sequence[float], e: Sequence[float]) -> np.ndarray:
         """Values p(a[i], e[i]) at paired points, by Horner on the parity rows
@@ -420,13 +430,25 @@ _CASES = np.array(
 def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> List[ZeroCurve]:
     """Marching-squares zero curves of the normalized coefficient.
 
-    The node signs S are exact (`PolyEval.grid_signs`).  Each cell's corner
-    pattern picks its segments from `_CASES`, a saddle's by the sign of fhat
-    at the cell centre.  An edge is an int: i*n + j joins the nodes
-    (i, j)-(i+1, j) and n^2 + i*n + j the nodes (i, j)-(i, j+1), so ids sort
-    by direction (a before e), then i, then j.  Every edge whose end signs
-    differ is bisected to |fhat| <= eps, starting from its signs in S; a
-    cell with a crossing left above eps is skipped.  The segments are
+    The node signs S are exact.  First the grid is cut into boxes of BOX x BOX
+    cells with corners at the nodes 0, BOX, 2 BOX, ... and n - 1, and
+    `enclose.Enclosure` bounds the coefficient over each box: a box where the
+    bounds fix the sign (closed) gives it to all its nodes and holds no
+    crossing.  Only the nodes of open boxes are evaluated, by
+    `PolyEval.strip_signs`, in one strip per row of boxes: the strip owns the
+    node rows from its box row's bottom up to, not including, the next box
+    row's (the last strip, up to the top), so each node is evaluated at most
+    once, and its columns are the nodes of its open boxes.  Marching squares
+    and the crossing edges run in one pass over the open strips laid side by
+    side, each with the next strip's first row, and come out sorted.
+
+    Each cell's corner pattern picks its segments from `_CASES`, a saddle's by
+    the sign of fhat at the cell centre.  An edge is an int: i*n + j joins
+    the nodes (i, j)-(i+1, j) and n^2 + i*n + j the nodes (i, j)-(i, j+1), so
+    ids sort by direction (a before e), then i, then j; cells and edges come
+    out in the order of a pass over the whole grid.  Every edge whose end
+    signs differ is bisected to |fhat| <= eps, starting from its signs in S;
+    a cell with a crossing left above eps is skipped.  The segments are
     chained into open or closed polylines from the sorted endpoints along
     sorted neighbours.  `surf` is a ModeSurface or anything with mode/order
     attributes, visible(), a broadcasting normalized_at(a, e) whose sign is
@@ -439,13 +461,66 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
         return []
     n = grid_n
     ax = grid_axis(n)
-    S, settled = surf.poly.grid_signs(ax, ax)
+    corners = box_corners(n)
+    nb = len(corners) - 1
+    box = Enclosure(surf.poly.series).signs(ax[corners], ax[corners])
+    # node j lies in the boxes lb[j] and rb[j] of a box row, which differ at
+    # a corner; a strip's columns are the nodes in one of its open boxes
+    node = np.arange(n)
+    lb = np.minimum(np.maximum(node - 1, 0) // BOX, nb - 1)
+    rb = np.minimum(node // BOX, nb - 1)
+    closed = box != 0
+    open_nodes = ~(closed[:, lb] & closed[:, rb])
+    start = np.append(corners[:-1], n)  # strip b owns the node rows start[b] .. start[b+1] - 1
+    strips = np.flatnonzero(open_nodes.any(axis=1))
+    cols = [np.flatnonzero(open_nodes[b]) for b in strips]
+    blocks, settled = surf.poly.strip_signs(
+        ax, ax, [(slice(start[b], start[b + 1]), c) for b, c in zip(strips, cols)]
+    )
     if settled:
         log.info("mode %s order %s: %d grid signs settled exactly", mode, order, settled)
+    if not blocks:
+        return []
 
-    # corner pattern of every cell, by doubling on the bytes of S: a bool
+    # the open strips side by side in BOX + 1 rows: a strip's own rows, then
+    # the first row of the next strip, its closed boxes' signs where it
+    # evaluated nothing (the last strip repeats its top row instead); per
+    # column, the node column, the strip's first node row, its own rows and
+    # its rows of cells
+    heads = box[1:, rb] > 0
+    for b, c, block in zip(strips, cols, blocks):
+        if b:
+            heads[b - 1, c] = block[0]
+    col = np.concatenate(cols)
+    W = np.empty((BOX + 1, len(col)), dtype=bool)
+    r0, own, cell_rows = (np.empty(len(col), dtype=int) for _ in range(3))
+    spans = []
+    at = 0
+    for b, c, block in zip(strips, cols, blocks):
+        span = slice(at, at + len(c))
+        W[: len(block), span] = block
+        W[len(block) :, span] = heads[b, c] if b + 1 < nb else block[-1]
+        r0[span] = start[b]
+        own[span] = len(block)
+        cell_rows[span] = len(block) - (b + 1 == nb)
+        spans.append(span)
+        at += len(c)
+    adjacent = col[1:] == col[:-1] + 1
+    adjacent &= r0[1:] == r0[:-1]
+    row = np.arange(BOX + 1)[:, None]
+
+    def in_id_order(mask, stride):
+        """The True entries (r, k) of `mask` strip by strip, each strip's in
+        row-major order: ids (r0 + r) * stride + col in ascending order, with
+        their r and k."""
+        found = [np.nonzero(mask[:, span]) for span in spans]
+        r = np.concatenate([r for r, _ in found])
+        k = np.concatenate([k + span.start for (_, k), span in zip(found, spans)])
+        return (r0[k] + r) * stride + col[k], r, k
+
+    # corner pattern of every cell, by doubling on the bytes of W: a bool
     # operand would promote to int64, and numpy runs a uint8 shift slower
-    bits = S.view(np.uint8)
+    bits = W.view(np.uint8)
     case = bits[1:, 1:] * 2
     case += bits[:-1, 1:]
     case *= 2
@@ -453,10 +528,15 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     case *= 2
     case += bits[:-1, :-1]
     case -= 1  # patterns 0 and 15, the cells with no crossing, go to 255 and 14
-    cells = np.flatnonzero(case < 14)
+    cells, r, k = in_id_order((case < 14) & adjacent & (row[:-1] < cell_rows[:-1]), n - 1)
     if not len(cells):
         return []
-    case = case.ravel()[cells] + 1
+    case = case[r, k] + 1
+    # the crossing edges, with the sign of their low ends
+    a_ids, r, k = in_id_order((W[:-1] != W[1:]) & (row[:-1] < cell_rows), n)
+    a_pos = W[r, k]
+    e_ids, r, k = in_id_order((W[:, :-1] != W[:, 1:]) & adjacent & (row < own[:-1]), n)
+    e_pos = W[r, k]
     ci, cj = np.divmod(cells, n - 1)
     saddle = np.flatnonzero((case == 6) | (case == 9))
     si, sj = ci[saddle], cj[saddle]
@@ -468,12 +548,13 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     first = base[:, None] + offsets[_CASES[case, :2]]
     second = base[saddle, None] + offsets[_CASES[case[saddle], 2:]]
     # the crossing edges, in id order
-    ai, aj = np.divmod(np.flatnonzero(S[:-1] != S[1:]), n)
-    ei, ej = np.divmod(np.flatnonzero(S[:, :-1] != S[:, 1:]), n - 1)
-    ids = np.concatenate([ai * n + aj, n * n + ei * n + ej])
+    ai, aj = np.divmod(a_ids, n)
+    ei, ej = np.divmod(e_ids, n)
+    ids = np.concatenate([a_ids, n * n + e_ids])
     i, j = np.concatenate([ai, ei]), np.concatenate([aj, ej])
     i_hi, j_hi = np.concatenate([ai + 1, ei]), np.concatenate([aj, ej + 1])
-    pa, pe, pv = _bisect_edges(surf, ax[i], ax[j], ax[i_hi], ax[j_hi], ~S[i, j])
+    pos = np.concatenate([a_pos, e_pos])
+    pa, pe, pv = _bisect_edges(surf, ax[i], ax[j], ax[i_hi], ax[j_hi], ~pos)
     ok = np.abs(pv) <= eps
     dropped = int(len(ok) - ok.sum())
     if dropped:
@@ -669,15 +750,19 @@ def _newton_batch(
 def _confirm(
     surfs: Sequence[ModeSurface], x: Tuple[float, float]
 ) -> Optional[Tuple[float, ...]]:
-    """Exact certificate of a float-converged point: each raw residual f_j,
-    evaluated once and exactly (float Horner roundoff can hide above the
-    tolerance), must satisfy |f_j| <= RESIDUAL_TOL, and each |fhat_j| <=
-    EPS_CURVE.  Returns the |f_j|, or None when either test fails."""
+    """Exact certificate of a point `_newton_batch` returned: each raw
+    residual f_j, evaluated once and exactly (float Horner roundoff can hide
+    above the tolerance), must satisfy |f_j| <= RESIDUAL_TOL.  Returns the
+    |f_j|, or None when one does not.
+
+    There is no float test here: `_newton_float` returns a point only where
+    every |fhat_j| <= NORMALIZED_NEWTON_TOL, and `PolyEval.at_points` gives
+    the same values at that point whatever the batch, so |fhat_j| <=
+    NORMALIZED_NEWTON_TOL < EPS_CURVE holds at every point that arrives."""
     residuals = tuple(
         abs(float(s.series.eval_exact(Fraction(x[0]), Fraction(x[1])))) for s in surfs
     )
-    fhat = _fhat_and_jacobians(surfs, np.array([x]))[0][0]
-    if max(residuals) > RESIDUAL_TOL or np.max(np.abs(fhat)) > EPS_CURVE:
+    if max(residuals) > RESIDUAL_TOL:
         return None
     return residuals
 

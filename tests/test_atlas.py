@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from hansenatlas import atlas
 from hansenatlas.atlas import (
-    GRID_BLOCK,
     AtlasReport,
     IntersectionReport,
     ModeSurface,
@@ -28,6 +27,7 @@ from hansenatlas.atlas import (
     trace_surface,
     triangle_metrics,
 )
+from hansenatlas.enclose import BOX, Enclosure, box_corners
 from hansenatlas.fourier import Mode, fourier_coefficient, g2_modes
 from hansenatlas.report import atlas_json, curves_csv
 from hansenatlas.series import SeriesAE
@@ -263,9 +263,9 @@ def test_at_points_equals_parity_rows_property(series, points):
 
 
 def test_grid_signs_match_horner_on_order20_surfaces():
-    # grid 600 leaves a short last block; no node is settled exactly here
+    # grid 600 leaves a short last strip; no node is settled exactly here
     ax = grid_axis(600)
-    assert 600 % (GRID_BLOCK // 600)
+    assert 600 % BOX
     for mode in g2_modes(8):
         for j in (1, 2, 3):
             surf = ModeSurface(mode.multiple(j), (20, 20))
@@ -343,6 +343,29 @@ def test_grid_signs_are_exact_property(series, grid_n):
         [[series.eval_exact(float(a), float(e)) > 0 for e in ax] for a in ax]
     )
     assert np.array_equal(signs, want)
+
+
+def test_strips_match_one_full_grid_call():
+    # strips of any rows and columns, index arrays or slices, give the full
+    # grid's signs; on p = a - e every diagonal node is settled exactly, once
+    # per strip that holds it
+    ax = grid_axis(64)
+    strips = [
+        (slice(0, 16), np.arange(64)),
+        (slice(16, 20), np.array([0, 5, 16, 17, 18, 19, 40])),
+        (slice(20, 64), slice(10, 40)),
+        (slice(20, 21), np.array([20])),
+    ]
+    line = PolyEval(SeriesAE({(1, 0): 1, (0, 1): -1}, 1, 1))
+    S, _ = line.grid_signs(ax, ax)
+    blocks, settled = line.strip_signs(ax, ax, strips)
+    assert [b.tolist() for b in blocks] == [S[r, c].tolist() for r, c in strips]
+    assert settled == 16 + 4 + 20 + 1
+    surf = ModeSurface(Mode(2, 5), (20, 20))
+    S, _ = surf.poly.grid_signs(ax, ax)
+    blocks, _ = surf.poly.strip_signs(ax, ax, strips)
+    assert [b.tolist() for b in blocks] == [S[r, c].tolist() for r, c in strips]
+    assert surf.poly.strip_signs(ax, ax, []) == ([], 0)
 
 
 # -- tracing ------------------------------------------------------------------
@@ -451,9 +474,46 @@ def test_trace_logs_grid_signs_settled_exactly(caplog, monkeypatch):
     assert [(len(c.points), c.closed) for c in curves] == [(64, False)]
     # the trace is the one that Horner's signs give
     monkeypatch.setattr(
-        PolyEval, "grid_signs", lambda self, a, e: (self.at(a[:, None], e[None, :]) > 0, 0)
+        PolyEval,
+        "strip_signs",
+        lambda self, a, e, strips: ([self.at(a[r, None], e[None, c]) > 0 for r, c in strips], 0),
     )
     assert trace_surface(surf, 64) == curves
+
+
+def test_trace_evaluates_only_nodes_of_open_boxes_once(monkeypatch):
+    # a + e - 1, whose bounds are exact: every node evaluated lies in an open
+    # box, at most once, and a node of an open box that is not evaluated lies
+    # in a closed box
+    evaluated = []
+    strip_signs = PolyEval.strip_signs
+
+    def recorded(self, a, e, strips):
+        evaluated.extend(strips)
+        return strip_signs(self, a, e, strips)
+
+    monkeypatch.setattr(PolyEval, "strip_signs", recorded)
+    grid_n = 256
+    line = SeriesAE({(1, 0): 1, (0, 1): 1, (0, 0): -1}, 1, 1)
+    assert len(trace_surface(PolynomialSurface(line), grid_n)) == 1
+    count = np.zeros((grid_n, grid_n), dtype=int)
+    for rows, cols in evaluated:
+        count[rows, cols] += 1
+    ax = grid_axis(grid_n)
+    corners = box_corners(grid_n)
+    box = Enclosure(line).signs(ax[corners], ax[corners])
+    in_box = {0: np.zeros_like(count, dtype=bool), 1: np.zeros_like(count, dtype=bool)}
+    for (bi, bj), sign in np.ndenumerate(box):
+        in_box[bool(sign)][corners[bi] : corners[bi + 1] + 1, corners[bj] : corners[bj + 1] + 1] = True
+    assert count.max() == 1
+    assert not (count.astype(bool) & ~in_box[0]).any()
+    assert not (in_box[0] & ~count.astype(bool) & ~in_box[1]).any()
+    assert 0 < count.sum() < grid_n**2 // 4
+    # 1 + a + e is positive on every box: no node is evaluated
+    evaluated.clear()
+    plane = SeriesAE({(0, 0): 1, (1, 0): 1, (0, 1): 1}, 1, 1)
+    assert trace_surface(PolynomialSurface(plane), grid_n) == []
+    assert evaluated == []
 
 
 # -- the tracer against its per-cell loop -------------------------------------
@@ -826,6 +886,26 @@ def test_confirmation_is_one_exact_residual_per_surface(monkeypatch, caplog):
     assert sorted(dropped) == sorted(
         f"mode (2,5) (1, 2): Newton dropped seed ({a:.6f}, {e:.6f})" for a, e in seeds
     )
+
+
+def test_newton_points_meet_the_normalized_tolerance_alone(monkeypatch):
+    # why `_confirm` tests no |fhat|: every point that `_newton_batch` returns
+    # for (5,-2) at order 60, evaluated again on its own, has
+    # max |fhat_j| <= NORMALIZED_NEWTON_TOL
+    returned = []
+    newton_batch = atlas._newton_batch
+
+    def recording_newton(surfs, seeds):
+        results = newton_batch(surfs, seeds)
+        returned.extend((surfs, res[0]) for res in results if res is not None)
+        return results
+
+    monkeypatch.setattr(atlas, "_newton_batch", recording_newton)
+    find_triple(Mode(5, -2), (60, 60))
+    assert len(returned) > 3
+    for surfs, x in returned:
+        F, _ = atlas._fhat_and_jacobians(surfs, np.array([x]))
+        assert np.max(np.abs(F)) <= atlas.NORMALIZED_NEWTON_TOL
 
 
 def test_refined_point_off_a_parent_polyline_is_not_reported(caplog):
