@@ -10,13 +10,13 @@ which would flood a sign-based tracer with boundary artifacts.
 
 Pipeline per mode: box pass on the grid of [delta, 1-delta]^2 (boxes of
 BOX x BOX cells, each signed where `enclose.Enclosure`'s certified bounds
-allow) -> exact node signs in the open boxes only (`PolyEval.strip_signs`: one
-matrix product per strip of open boxes, with Horner's error bound from a
-second product on |C|; a sign inside the bound is taken from the exact
-value) -> marching squares on arrays, in one pass over the open strips side
-by side (each cell's corner pattern picks its segments from a 16-row case
-table; edges are integer ids) with per-edge bisection on sparse Horner
-(`PolyEval.at`), started from the grid's signs -> chained polylines
+allow) -> exact node signs in the open boxes only (`Enclosure.node_signs`:
+the same bounds on each node as a box of its own, one matrix product pair
+per strip of open boxes; a sign the bounds leave open is taken from the
+exact value) -> marching squares on arrays, in one pass over the open
+strips side by side (each cell's corner pattern picks its segments from a
+16-row case table; edges are integer ids) with per-edge bisection on sparse
+Horner (`PolyEval.at`), started from the grid's signs -> chained polylines
 (ZeroCurve) -> pairwise-proximity seeds -> damped Newton in float from every
 seed, on fhat with the float Horner of the exact derivative series as
 Jacobian, all seeds in lockstep with one batched `PolyEval.at_points` per
@@ -125,7 +125,14 @@ class PolyEval:
         cols = self._cols
         if not len(cols):
             return v
-        R = self._a_horner(self._Ce, a)
+        Ce = self._Ce.reshape(self._Ce.shape + (1,) * a.ndim)
+        top = int(np.flatnonzero(self._nz_rows)[-1])
+        R = np.empty((len(cols),) + a.shape)
+        R[...] = Ce[top]
+        for n in range(top - 1, -1, -1):
+            R *= a
+            if self._nz_rows[n]:
+                R += Ce[n]
         v[...] = R[0]
         for i in range(1, len(cols)):
             for _ in range(cols[i - 1] - cols[i]):
@@ -134,102 +141,6 @@ class PolyEval:
         for _ in range(cols[-1]):
             v *= e
         return v
-
-    def _a_horner(self, Ce: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """R[i] = the a-Horner of column cols[i] of Ce (a copy of `_Ce` or of
-        its absolute values), shaped like `a`; from the top nonzero a-row down,
-        adding no zero row."""
-        Ce = Ce.reshape(Ce.shape + (1,) * a.ndim)
-        top = int(np.flatnonzero(self._nz_rows)[-1])
-        R = np.empty((len(self._cols),) + a.shape)
-        R[...] = Ce[top]
-        for n in range(top - 1, -1, -1):
-            R *= a
-            if self._nz_rows[n]:
-                R += Ce[n]
-        return R
-
-    def strip_signs(
-        self, a: np.ndarray, e: np.ndarray, strips: Sequence[Tuple[slice, np.ndarray]]
-    ) -> Tuple[List[np.ndarray], int]:
-        """(blocks, settled): for each strip (rows, cols) of `strips`, a slice
-        of `a` and an index array or slice of `e`, blocks[s][i, j] is True
-        where the exact value of the series this evaluator was built from at
-        the float node (a[rows][i], e[cols][j]) is positive, for 1-D axes
-        with values in [0, 1]; `settled` counts the nodes that the float
-        bound could not decide and `eval_exact` did.  Strips that share no
-        node evaluate each node once.
-
-        On the tensor grid p(a_i, e_j) = sum_q R_q(a_i) e_j^q, so a strip is
-        one matrix product V = R[rows] @ E[:, cols], with R the a-Horner of
-        the nonzero e-columns and E[q, j] = e_j^q, both taken once over the
-        whole axes.  A second product, [gamma*|R|, 1] @ [E; mu] with |R| the
-        a-Horner on |C|, gives the bound T = gamma*B + mu.  A node with
-        |V| > T has the sign of V; any other node, NaN and inf included, is
-        evaluated exactly.
-
-        Why that sign is exact (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., ch. 3 and 5; u = 2^-53, gamma_k = ku/(1-ku)).
-        With N_a, N_e the top exponents present and m <= N_e + 1 columns, the
-        term c a^n e^q of V picks up at most k = 2N_a + 2N_e + 2 rounding
-        factors (1 + delta): 1 rounding c to double, 2N_a in the a-Horner,
-        N_e in the power e^q by repeated products and m in the product and
-        sum of the m column terms, in any order, fused or not.  So
-        |V - p| <= gamma_k M with M = sum |c| a^n e^q.  T sums nonnegative
-        terms, each with at most k + 3 factors (gamma itself, its product
-        with |R|, one more term in the sum), so T >= (1 - gamma_{k+3}) gamma M,
-        and gamma = gamma_{2k+4} makes that at least gamma_k M while
-        (k+3)u <= 1/4.  Underflow: a rounding that lands below
-        lambda = 2^-1022 adds an absolute error of at most u*lambda (a sum
-        that does is exact).  While every power e^q stays at least lambda,
-        each such error is afterwards only multiplied by factors a, e <= 1,
-        and fewer than 2^51 of them stay below lambda/2 in V and in T, which
-        mu = 2 lambda covers.  A column j whose top power falls below lambda
-        gets mu = inf, so its nodes are decided exactly.
-        """
-        a = np.asarray(a, dtype=float)
-        e = np.asarray(e, dtype=float)
-        cols = self._cols
-        if not len(cols) or not len(strips):
-            return [np.zeros((len(a[r]), len(e[c])), dtype=bool) for r, c in strips], 0
-        m = len(cols)
-        top_a = int(np.flatnonzero(self._nz_rows)[-1])
-        k = 2 * (top_a + int(cols[0]) + 1)
-        gamma = (2 * k + 4) * 2.0**-53 / (1.0 - (2 * k + 4) * 2.0**-53)
-        R = np.ascontiguousarray(self._a_horner(self._Ce, a).T)
-        Rb = np.ones((len(a), m + 1))
-        Rb[:, :m] = self._a_horner(np.abs(self._Ce), a).T
-        Rb[:, :m] *= gamma
-        powers = np.empty((int(cols[0]) + 1, len(e)))
-        powers[0] = 1.0
-        for q in range(1, len(powers)):
-            np.multiply(powers[q - 1], e, out=powers[q])
-        E = powers[cols]
-        tiny = np.finfo(float).tiny
-        Eb = np.vstack([E, np.where(E[0] >= tiny, 2.0 * tiny, np.inf)])
-        blocks = []
-        settled = 0
-        for rows, strip_cols in strips:
-            V = R[rows] @ E[:, strip_cols]
-            T = Rb[rows] @ Eb[:, strip_cols]
-            S = V > 0.0
-            unsure = ~(np.abs(V) > T)
-            if unsure.any():
-                ar, er = a[rows], e[strip_cols]
-                for i, j in zip(*np.nonzero(unsure)):
-                    S[i, j] = self.series.eval_exact(float(ar[i]), float(er[j])) > 0
-                    settled += 1
-            blocks.append(S)
-        return blocks, settled
-
-    def grid_signs(self, a: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, int]:
-        """(S, settled): `strip_signs` on the whole grid, S[i, j] for the node
-        (a[i], e[j]), in strips of BOX rows."""
-        strips = [(slice(i, i + BOX), slice(None)) for i in range(0, len(a), BOX)]
-        blocks, settled = self.strip_signs(a, e, strips)
-        if not blocks:
-            return np.zeros((0, len(e)), dtype=bool), settled
-        return np.vstack(blocks), settled
 
     def at_points(self, a: Sequence[float], e: Sequence[float]) -> np.ndarray:
         """Values p(a[i], e[i]) at paired points, by Horner on the parity rows
@@ -434,8 +345,8 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     cells with corners at the nodes 0, BOX, 2 BOX, ... and n - 1, and
     `enclose.Enclosure` bounds the coefficient over each box: a box where the
     bounds fix the sign (closed) gives it to all its nodes and holds no
-    crossing.  Only the nodes of open boxes are evaluated, by
-    `PolyEval.strip_signs`, in one strip per row of boxes: the strip owns the
+    crossing.  Only the nodes of open boxes are evaluated, by the same
+    enclosure's `node_signs`, in one strip per row of boxes: the strip owns the
     node rows from its box row's bottom up to, not including, the next box
     row's (the last strip, up to the top), so each node is evaluated at most
     once, and its columns are the nodes of its open boxes.  Marching squares
@@ -463,7 +374,8 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     ax = grid_axis(n)
     corners = box_corners(n)
     nb = len(corners) - 1
-    box = Enclosure(surf.poly.series).signs(ax[corners], ax[corners])
+    enclosure = Enclosure(surf.poly.series, ax, ax)
+    box = enclosure.signs(corners, corners)
     # node j lies in the boxes lb[j] and rb[j] of a box row, which differ at
     # a corner; a strip's columns are the nodes in one of its open boxes
     node = np.arange(n)
@@ -474,8 +386,8 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     start = np.append(corners[:-1], n)  # strip b owns the node rows start[b] .. start[b+1] - 1
     strips = np.flatnonzero(open_nodes.any(axis=1))
     cols = [np.flatnonzero(open_nodes[b]) for b in strips]
-    blocks, settled = surf.poly.strip_signs(
-        ax, ax, [(slice(start[b], start[b + 1]), c) for b, c in zip(strips, cols)]
+    blocks, settled = enclosure.node_signs(
+        [(slice(start[b], start[b + 1]), c) for b, c in zip(strips, cols)]
     )
     if settled:
         log.info("mode %s order %s: %d grid signs settled exactly", mode, order, settled)

@@ -23,10 +23,11 @@ UNIT_ROUNDOFF = 2.0**-53
 def grid_sign_margin(series: SeriesAE, grid_n: int) -> Tuple[int, float]:
     """(unsettled, worst) for the float Horner signs of `series` on the grid.
 
-    The tracer's own signs are exact (`PolyEval.grid_signs` settles every
-    node inside its bound exactly); this is an independent check of the
-    signs of `PolyEval.at` broadcast over the grid: Horner in a (degree N_a),
-    then in e (degree N_e), on coefficients rounded to double.
+    The tracer's own signs are exact (`enclose.Enclosure.node_signs`
+    settles every node its bounds leave open exactly); this is an
+    independent check of the signs of `PolyEval.at` broadcast over the grid:
+    Horner in a (degree N_a), then in e (degree N_e), on coefficients
+    rounded to double.
     Its error is at most gamma_K * sum |c| a^n e^q with K = 2(N_a+N_e)+1; the
     bound used here takes k = K+4, which also covers evaluating the |c| series
     in floating point.  A node whose |value| does not exceed the bound counts

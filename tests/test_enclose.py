@@ -82,7 +82,7 @@ def test_enclosure_contains_exact_values_property(series, boxes, inner):
     grid_n, a_idx, e_idx = boxes
     ax = grid_axis(grid_n)
     a, e = ax[a_idx], ax[e_idx]
-    lower, upper = Enclosure(series).bounds(a, e)
+    lower, upper = Enclosure(series, a, e).bounds()
     g = exact_quotient(series, *lowest_exponents(series))
     for i in range(len(a) - 1):
         for j in range(len(e) - 1):
@@ -98,7 +98,7 @@ def test_enclosure_contains_exact_values_property(series, boxes, inner):
 def test_closed_boxes_hold_no_node_of_the_other_sign_property(series, grid_n):
     ax = grid_axis(grid_n)
     corners = box_corners(grid_n)
-    signs = Enclosure(series).signs(ax[corners], ax[corners])
+    signs = Enclosure(series, ax, ax).signs(corners, corners)
     for bi, bj in zip(*np.nonzero(signs)):
         rows = range(corners[bi], corners[bi + 1] + 1)
         cols = range(corners[bj], corners[bj + 1] + 1)
@@ -126,13 +126,14 @@ def test_enclosure_bounds_a_mode_divided_by_its_leading_monomial():
     assert lowest_exponents(series) == (t.leading_a_power, t.leading_e_power)
     g = exact_quotient(series, t.leading_a_power, t.leading_e_power)
     ax = grid_axis(64)[box_corners(64)]
-    lower, upper = Enclosure(series).bounds(ax, ax)
+    enclosure = Enclosure(series, ax, ax)
+    lower, upper = enclosure.bounds()
     for i in range(len(ax) - 1):
         for j in range(len(ax) - 1):
             a_lo, a_hi, e_lo, e_hi = (Fraction(v) for v in (ax[i], ax[i + 1], ax[j], ax[j + 1]))
             for p in ((a_lo, e_lo), (a_hi, e_hi), ((a_lo + a_hi) / 2, (e_lo + e_hi) / 2)):
                 assert lower[i, j] <= g(*p) <= upper[i, j]
-    signs = Enclosure(series).signs(ax, ax)
+    signs = enclosure.signs()
     assert signs[0, 0] == np.sign(float(t.t_value))
 
 
@@ -142,15 +143,16 @@ def test_enclosure_where_every_power_underflows():
     # and the float value reads -2^-180; the underflow margin keeps the box open
     series = SeriesAE({(0, 1000): 2**1000, (0, 0): Fraction(-1, 2**180)}, 0, 1000)
     a, e = np.array([0.25, 0.75]), np.array([0.454, 0.47])
-    lower, upper = Enclosure(series).bounds(a, e)
+    enclosure = Enclosure(series, a, e)
+    lower, upper = enclosure.bounds()
     for x in e:
         value = 2**1000 * Fraction(x) ** 1000 - Fraction(1, 2**180)
         assert value > 0
         assert lower[0, 0] <= value <= upper[0, 0]
-    assert Enclosure(series).signs(a, e)[0, 0] == 0
+    assert enclosure.signs()[0, 0] == 0
 
 
 def test_enclosure_of_a_constant_and_of_the_zero_series():
     ax = grid_axis(32)[box_corners(32)]
-    assert (Enclosure(SeriesAE({(2, 3): -7}, 4, 4)).signs(ax, ax) == -1).all()
-    assert (Enclosure(SeriesAE.zero(4, 4)).signs(ax, ax) == 0).all()
+    assert (Enclosure(SeriesAE({(2, 3): -7}, 4, 4), ax, ax).signs() == -1).all()
+    assert (Enclosure(SeriesAE.zero(4, 4), ax, ax).signs() == 0).all()
