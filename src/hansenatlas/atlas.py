@@ -19,8 +19,9 @@ strips side by side (each cell's corner pattern picks its segments from a
 Horner (`PolyEval.at`), started from the grid's signs -> chained polylines
 (ZeroCurve) -> pairwise-proximity seeds -> damped Newton in float from every
 seed, on fhat with the float Horner of the exact derivative series as
-Jacobian, all seeds in lockstep with one batched `PolyEval.at_points` per
-surface and series per round -> dedupe of the converged points -> one exact
+Jacobian, all seeds in one loop over arrays with one batched
+`PolyEval.at_points` per surface and series per round, each dropped seed
+logged with its reason -> dedupe of the converged points -> one exact
 residual check per distinct point, at the float Newton's point
 (IntersectionReport) -> near-triple triangles with area/incenter/inradius
 (TriangleReport).  A triple zero is certified only when a Gauss-Newton solve
@@ -43,7 +44,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .series import SeriesAE
 log = logging.getLogger("hansenatlas.atlas")
 
 EPS_CURVE = 1e-9
+NORMALIZED_NEWTON_TOL = 1e-13
 RESIDUAL_TOL = 1e-12
 DEDUPE_TOL = 1e-6
 DEFAULT_GRID = 512
@@ -568,9 +570,6 @@ def _polyline_distance(curves: Sequence[ZeroCurve], point: Tuple[float, float]) 
     return best
 
 
-NORMALIZED_NEWTON_TOL = 1e-13
-
-
 def _step(F: np.ndarray, J: np.ndarray) -> Optional[np.ndarray]:
     """Newton step (least squares for three surfaces); None if J is singular."""
     try:
@@ -579,52 +578,6 @@ def _step(F: np.ndarray, J: np.ndarray) -> Optional[np.ndarray]:
         return np.linalg.lstsq(J, -F, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
-
-
-NewtonResult = Optional[Tuple[Tuple[float, float], int]]
-
-
-def _newton_float(
-    seed: Tuple[float, float]
-) -> Generator[np.ndarray, Tuple[np.ndarray, np.ndarray], NewtonResult]:
-    """Damped (Gauss-)Newton in float down to |fhat_j| <= NORMALIZED_NEWTON_TOL
-    from one seed, as a generator: it yields each point to evaluate and is
-    sent back (F, J), fhat_j and its gradients there.  It returns
-    (point, iterations), None on divergence.  It runs on the normalized
-    coefficients, whose zeros stay transversal where the raw ones vanish to high
-    order near the axes, so spurious absolute-residual solutions never converge."""
-    x = np.array(seed, dtype=float)
-    iterations = 0
-    stagnant = 0
-    F, J = yield x
-    for _ in range(NEWTON_MAX_ITER):
-        fmax = np.max(np.abs(F))
-        if fmax <= NORMALIZED_NEWTON_TOL:
-            break
-        step = _step(F, J)
-        if step is None:
-            return None
-        lam = 1.0
-        accepted = False
-        for _ in range(40):
-            xn = x + lam * step
-            if 0.0 < xn[0] < 1.0 and 0.0 < xn[1] < 1.0:
-                Fn, Jn = yield xn
-                if np.max(np.abs(Fn)) < fmax or np.max(np.abs(Fn)) <= NORMALIZED_NEWTON_TOL:
-                    x, F, J = xn, Fn, Jn
-                    accepted = True
-                    break
-            lam *= NEWTON_DAMPING
-        iterations += 1
-        if not accepted:
-            return None
-        # seeds sitting on near-tangent curve pairs creep without converging
-        stagnant = stagnant + 1 if np.max(np.abs(F)) > 0.5 * fmax else 0
-        if stagnant >= 6:
-            return None
-    if np.max(np.abs(F)) > NORMALIZED_NEWTON_TOL:
-        return None
-    return (float(x[0]), float(x[1])), iterations
 
 
 def _fhat_and_jacobians(
@@ -640,23 +593,68 @@ def _fhat_and_jacobians(
 
 def _newton_batch(
     surfs: Sequence[ModeSurface], seeds: Sequence[Tuple[float, float]]
-) -> List[NewtonResult]:
-    """`_newton_float` from every seed, in lockstep: each round evaluates the
-    pending points of all live runs in one batch and sends each run its
-    (F, J).  Returns the results in seed order."""
-    runs = [_newton_float(seed) for seed in seeds]
-    results: List[NewtonResult] = [None] * len(runs)
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    while pending:
-        live = list(pending)
-        F, J = _fhat_and_jacobians(surfs, np.array([pending[i] for i in live]))
-        pending = {}
-        for i, Fi, Ji in zip(live, F, J):
-            try:
-                pending[i] = runs[i].send((Fi, Ji))
-            except StopIteration as stop:
-                results[i] = stop.value
-    return results
+) -> List[Tuple[Optional[Tuple[Tuple[float, float], int]], str]]:
+    """Damped (Gauss-)Newton in float from every seed down to max_j |fhat_j|
+    <= NORMALIZED_NEWTON_TOL, as one loop over arrays of all seeds: each
+    round evaluates the trial points of every running seed in one batch.  A
+    seed that has just accepted a point stops there if converged or after
+    NEWTON_MAX_ITER steps, else takes a `_step`; it tries x + lam * step,
+    lam = NEWTON_DAMPING**t for t < 40, skipping trials outside the open
+    unit square, and accepts the first that lowers max |fhat_j| or meets the
+    tolerance.  On the normalized coefficients, zeros stay transversal where
+    the raw ones vanish to high order near the axes, so spurious
+    absolute-residual solutions never converge.  Returns per seed
+    (((a, e), iterations), "converged") or (None, the reason it was dropped:
+    "singular", "no descent", "stagnant" or "iterations")."""
+    x = np.array(seeds, dtype=float).reshape(-1, 2)
+    if not len(x):
+        return []
+    status = np.full(len(x), "running", dtype=object)
+    step = np.zeros_like(x)
+    t, iterations, stagnant = (np.zeros(len(x), dtype=int) for _ in range(3))
+    lam = np.cumprod([1.0] + [NEWTON_DAMPING] * 39)
+    F, J = _fhat_and_jacobians(surfs, x)
+    fmax = np.abs(F).max(axis=1)
+    moved = np.arange(len(x))  # the seeds that have just accepted a point
+    while True:
+        done = fmax[moved] <= NORMALIZED_NEWTON_TOL
+        status[moved[done]] = "converged"
+        moved = moved[~done]
+        capped = iterations[moved] >= NEWTON_MAX_ITER
+        status[moved[capped]] = "iterations"
+        for i in moved[~capped]:
+            s = _step(F[i], J[i])
+            if s is None:
+                status[i] = "singular"
+            else:
+                step[i], t[i] = s, 0
+        # each running seed's first trial from its t on inside the open square
+        live = np.flatnonzero(status == "running")
+        trials = x[live, None] + lam[:, None] * step[live, None]
+        inside = ((trials > 0.0) & (trials < 1.0)).all(axis=2)
+        inside &= np.arange(len(lam)) >= t[live, None]
+        found = inside.any(axis=1)
+        status[live[~found]] = "no descent"
+        live = live[found]
+        if not len(live):
+            break
+        t[live] = inside[found].argmax(axis=1)
+        xn = trials[found][np.arange(len(live)), t[live]]
+        Fn, Jn = _fhat_and_jacobians(surfs, xn)
+        fn = np.abs(Fn).max(axis=1)
+        ok = (fn < fmax[live]) | (fn <= NORMALIZED_NEWTON_TOL)
+        t[live[~ok]] += 1
+        moved = live[ok]
+        # seeds sitting on near-tangent curve pairs creep without converging
+        stagnant[moved] = np.where(fn[ok] > 0.5 * fmax[moved], stagnant[moved] + 1, 0)
+        x[moved], F[moved], J[moved], fmax[moved] = xn[ok], Fn[ok], Jn[ok], fn[ok]
+        iterations[moved] += 1
+        status[moved[stagnant[moved] >= 6]] = "stagnant"
+        moved = moved[stagnant[moved] < 6]
+    return [
+        (((float(a), float(e)), int(k)) if s == "converged" else None, s)
+        for (a, e), k, s in zip(x, iterations, status)
+    ]
 
 
 def _confirm(
@@ -667,7 +665,7 @@ def _confirm(
     above the tolerance), must satisfy |f_j| <= RESIDUAL_TOL.  Returns the
     |f_j|, or None when one does not.
 
-    There is no float test here: `_newton_float` returns a point only where
+    There is no float test here: `_newton_batch` returns a point only where
     every |fhat_j| <= NORMALIZED_NEWTON_TOL, and `PolyEval.at_points` gives
     the same values at that point whatever the batch, so |fhat_j| <=
     NORMALIZED_NEWTON_TOL < EPS_CURVE holds at every point that arrives."""
@@ -695,9 +693,9 @@ def _refine_pair(
     radius = 2.0 / grid_n
     seeds = _proximity_seeds(curves_a, curves_b, radius)
     converged, dropped = [], []
-    for seed, res in zip(seeds, _newton_batch(pair, seeds)):
+    for seed, (res, status) in zip(seeds, _newton_batch(pair, seeds)):
         if res is None:
-            dropped.append(seed)
+            dropped.append((seed, status))
         else:
             converged.append((res, seed))
     confirmed = []
@@ -706,11 +704,11 @@ def _refine_pair(
             continue
         residuals = _confirm(pair, x)
         if residuals is None:
-            dropped.append(seed)
+            dropped.append((seed, "residual"))
         else:
             confirmed.append((x, residuals, iters))
-    for seed in dropped:
-        log.info("mode %s %s: Newton dropped seed (%.6f, %.6f)", mode, multiples, *seed)
+    for seed, reason in dropped:
+        log.info("mode %s %s: Newton dropped seed (%.6f, %.6f): %s", mode, multiples, *seed, reason)
     reports = []
     for point, residuals, iters in confirmed:
         if (
@@ -853,11 +851,11 @@ def find_triple(
     certificates: List[TripleZeroCertificate] = []
     triple = (surfs[1], surfs[2], surfs[3])
     incenters = [tri.incenter for tri in triangles[:5]]
-    for point, _ in filter(None, _newton_batch(triple, incenters)):
-        residuals = _confirm(triple, point)
+    for res, _ in _newton_batch(triple, incenters):
+        residuals = _confirm(triple, res[0]) if res else None
         if residuals is not None:
             certificates.append(
-                TripleZeroCertificate(mode, order, point, residuals)  # type: ignore[arg-type]
+                TripleZeroCertificate(mode, order, res[0], residuals)  # type: ignore[arg-type]
             )
     return CommonZeros(
         mode, order, curves, pair_reports, tuple(triangles), tuple(certificates)

@@ -861,7 +861,7 @@ def test_failed_confirmation_falls_back_to_next_cluster_member(monkeypatch):
 
     def recording_newton(surfs, seeds):
         results = newton_batch(surfs, seeds)
-        converged.extend(res for res in results if res is not None)
+        converged.extend(res for res, _ in results if res is not None)
         return results
 
     def first_fails(surfs, x):
@@ -884,7 +884,8 @@ def test_failed_confirmation_falls_back_to_next_cluster_member(monkeypatch):
 def test_confirmation_is_one_exact_residual_per_surface(monkeypatch, caplog):
     # with a zero tolerance no exact residual passes: every float-converged
     # seed is tried in turn, costs one `eval_exact` per surface and is
-    # dropped; nothing moves the point to lower its residual
+    # dropped for its residual; nothing moves the point to lower it.  Every
+    # other seed is dropped for the status Newton returned
     monkeypatch.setattr(atlas, "RESIDUAL_TOL", 0.0)
     calls, runs = [], []
     eval_exact, newton_batch = SeriesAE.eval_exact, atlas._newton_batch
@@ -901,13 +902,16 @@ def test_confirmation_is_one_exact_residual_per_surface(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="hansenatlas.atlas"):
         assert find_double(Mode(2, 5), (30, 30), 128).pair(1, 2) == ()
     ((seeds, results),) = runs
-    converged = [seed for seed, res in zip(seeds, results) if res is not None]
+    converged = [seed for seed, (res, _) in zip(seeds, results) if res is not None]
     assert len(converged) > 1
     assert len(calls) == 2 * len(converged)
     dropped = [r.getMessage() for r in caplog.records if "Newton dropped seed" in r.getMessage()]
     assert sorted(dropped) == sorted(
-        f"mode (2,5) (1, 2): Newton dropped seed ({a:.6f}, {e:.6f})" for a, e in seeds
+        f"mode (2,5) (1, 2): Newton dropped seed ({a:.6f}, {e:.6f}): "
+        + ("residual" if status == "converged" else status)
+        for (a, e), (_, status) in zip(seeds, results)
     )
+    assert any(status != "converged" for _, status in results)
 
 
 def test_newton_points_meet_the_normalized_tolerance_alone(monkeypatch):
@@ -919,7 +923,7 @@ def test_newton_points_meet_the_normalized_tolerance_alone(monkeypatch):
 
     def recording_newton(surfs, seeds):
         results = newton_batch(surfs, seeds)
-        returned.extend((surfs, res[0]) for res in results if res is not None)
+        returned.extend((surfs, res[0]) for res, _ in results if res is not None)
         return results
 
     monkeypatch.setattr(atlas, "_newton_batch", recording_newton)
@@ -955,10 +959,10 @@ def test_refined_point_off_a_parent_polyline_is_not_reported(caplog):
 
 
 def _newton_reference(surfs, rows, seed):
-    """The damped (Gauss-)Newton of `atlas._newton_float` as one scalar loop
+    """The damped (Gauss-)Newton of `atlas._newton_batch` as one scalar loop
     per seed, on the scalar parity-row Horner of `rows` (f, f_a and f_e of
-    each surface): (result, evaluations, exit), the result being what
-    `_newton_batch` must return for this seed."""
+    each surface): (result, evaluations, exit), the result and exit being
+    what `_newton_batch` must return for this seed."""
     evaluations = 0
 
     def fhat_jac(x):
@@ -1010,9 +1014,9 @@ def _newton_reference(surfs, rows, seed):
 
 
 def assert_batch_is_reference(monkeypatch, surfs, seeds):
-    """`_newton_batch` returns the reference's results and evaluates once per
-    surface and series per round, in as many rounds as the longest run has
-    evaluations; returns the reference's exits."""
+    """`_newton_batch` returns the reference's results and exits and
+    evaluates once per surface and series per round, in as many rounds as
+    the longest run has evaluations; returns the reference's exits."""
     counts = {"rounds": 0, "at_points": 0}
     batch, at_points = atlas._fhat_and_jacobians, PolyEval.at_points
 
@@ -1033,7 +1037,7 @@ def assert_batch_is_reference(monkeypatch, surfs, seeds):
         for surf in surfs
     ]
     want = [_newton_reference(surfs, rows, seed) for seed in seeds]
-    assert got == [result for result, _, _ in want]
+    assert got == [(result, exit) for result, _, exit in want]
     assert counts["rounds"] == max((evals for _, evals, _ in want), default=0)
     assert counts["at_points"] == 3 * len(surfs) * counts["rounds"]
     return [exit for _, _, exit in want]
@@ -1090,6 +1094,42 @@ def test_newton_batch_equals_reference_on_singular_and_slow_runs(monkeypatch):
     seeds = [(0.5, 0.25), (0.5, 0.5), (0.25, 0.75)]
     assert assert_batch_is_reference(monkeypatch, slow, seeds) == ["iterations"] * 3
     assert assert_batch_is_reference(monkeypatch, (surf, surf), []) == []
+
+
+def test_newton_batch_equals_reference_on_singular_and_regular_seeds_together(monkeypatch):
+    # f = a + e - 1 and g = ae - 1/8: J = [[1, 1], [e, a]] is exactly
+    # singular where a = e, so two seeds fail their first solve while the
+    # two others in the same call converge; a solve stacked over the seeds
+    # would raise for all four
+    pair = (
+        _polynomial_surface({(1, 0): 1, (0, 1): 1, (0, 0): -1}, 1, 1),
+        _polynomial_surface({(1, 1): 1, (0, 0): Fraction(-1, 8)}, 1, 1),
+    )
+    seeds = [(0.3, 0.3), (0.2, 0.7), (0.5, 0.5), (0.8, 0.1)]
+    assert assert_batch_is_reference(monkeypatch, pair, seeds) == [
+        "singular", "converged", "singular", "converged"
+    ]
+
+
+@pytest.mark.parametrize("mode, order", [(Mode(5, -2), (60, 60)), (Mode(2, 3), (30, 30))])
+def test_newton_batch_equals_reference_on_triple_incenters(monkeypatch, mode, order):
+    # the Gauss-Newton (`lstsq`) path: f_{jm,jk}, j = 1, 2, 3, from the
+    # triangle incenters that `find_triple` sends
+    calls = []
+    newton_batch = atlas._newton_batch
+
+    def recording_newton(surfs, seeds):
+        if len(surfs) == 3:
+            calls.append((surfs, seeds))
+        return newton_batch(surfs, seeds)
+
+    with monkeypatch.context() as m:
+        m.setattr(atlas, "_newton_batch", recording_newton)
+        find_triple(mode, order)
+    ((triple, incenters),) = calls
+    assert 0 < len(incenters) <= 5
+    exits = assert_batch_is_reference(monkeypatch, triple, incenters)
+    assert exits == {Mode(5, -2): ["no descent"] * 2, Mode(2, 3): ["stagnant"]}[mode]
 
 
 # -- scans ---------------------------------------------------------------------
