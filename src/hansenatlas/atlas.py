@@ -237,8 +237,6 @@ class ModeSurface:
 class ZeroCurve:
     """Ordered polyline approximating one connected component of {f_{m,k} = 0}."""
 
-    mode: Mode
-    order: Tuple[int, int]
     points: Tuple[Tuple[float, float], ...]
     closed: bool
 
@@ -247,7 +245,6 @@ class ZeroCurve:
 class IntersectionReport:
     """A refined common zero of f_{jm,jk} for the j's in `multiples`."""
 
-    mode: Mode
     multiples: Tuple[int, ...]
     point: Tuple[float, float]
     residuals: Tuple[float, ...]
@@ -258,8 +255,6 @@ class IntersectionReport:
 class TriangleReport:
     """Triple-proximity triangle built from the three pairwise intersections."""
 
-    mode: Mode
-    order: Tuple[int, int]
     vertices: Tuple[Tuple[float, float], ...]
     area: float
     incenter: Tuple[float, float]
@@ -268,8 +263,6 @@ class TriangleReport:
 
 @dataclass(frozen=True)
 class TripleZeroCertificate:
-    mode: Mode
-    order: Tuple[int, int]
     point: Tuple[float, float]
     residuals: Tuple[float, float, float]
 
@@ -340,7 +333,7 @@ _CASES = np.array(
 )
 
 
-def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> List[ZeroCurve]:
+def trace_surface(surf, grid_n: int = DEFAULT_GRID) -> List[ZeroCurve]:
     """Marching-squares zero curves of the normalized coefficient.
 
     The node signs S are exact.  First the grid is cut into boxes of BOX x BOX
@@ -360,12 +353,13 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     the nodes (i, j)-(i+1, j) and n^2 + i*n + j the nodes (i, j)-(i, j+1), so
     ids sort by direction (a before e), then i, then j; cells and edges come
     out in the order of a pass over the whole grid.  Every edge whose end
-    signs differ is bisected to |fhat| <= eps, starting from its signs in S;
-    a cell with a crossing left above eps is skipped.  The segments are
-    chained into open or closed polylines from the sorted endpoints along
-    sorted neighbours.  `surf` is a ModeSurface or anything with mode/order
-    attributes, visible(), a broadcasting normalized_at(a, e) whose sign is
-    that of the raw coefficient, and the coefficient's `poly`, a PolyEval.
+    signs differ is bisected to |fhat| <= EPS_CURVE (read at call time),
+    starting from its signs in S; a cell with a crossing left above it is
+    skipped.  The segments are chained into open or closed polylines from the
+    sorted endpoints along sorted neighbours.  `surf` is a ModeSurface or
+    anything with mode/order attributes (named in the log lines only),
+    visible(), a broadcasting normalized_at(a, e) whose sign is that of the
+    raw coefficient, and the coefficient's `poly`, a PolyEval.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
@@ -469,7 +463,7 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
     i_hi, j_hi = np.concatenate([ai + 1, ei]), np.concatenate([aj, ej + 1])
     pos = np.concatenate([a_pos, e_pos])
     pa, pe, pv = _bisect_edges(surf, ax[i], ax[j], ax[i_hi], ax[j_hi], ~pos)
-    ok = np.abs(pv) <= eps
+    ok = np.abs(pv) <= EPS_CURVE
     dropped = int(len(ok) - ok.sum())
     if dropped:
         log.info("mode %s order %s: %d edge crossings above eps dropped", mode, order, dropped)
@@ -516,7 +510,7 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID, eps: float = EPS_CURVE) -> L
         pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
         if closed and len(pts) > 1 and pts[-1] == pts[0]:
             pts.pop()
-        return ZeroCurve(mode, order, tuple(pts), closed)
+        return ZeroCurve(tuple(pts), closed)
 
     endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
     for start in endpoints:
@@ -678,17 +672,18 @@ def _confirm(
 
 
 def _refine_pair(
+    mode: Mode,
     surfs: Dict[int, ModeSurface],
     curves: Dict[int, Tuple[ZeroCurve, ...]],
     multiples: Tuple[int, int],
     grid_n: int,
 ) -> Tuple[IntersectionReport, ...]:
-    """Common zeros of the pair of surfaces `multiples`, seeded where their
-    curves come within two grid steps.  Of the float-converged seeds, sorted,
-    each one farther than DEDUPE_TOL from all confirmed so far is confirmed;
-    when that fails, the next member of its cluster gets its turn."""
+    """Common zeros of the pair of surfaces `multiples` of the base `mode`,
+    seeded where their curves come within two grid steps.  Of the
+    float-converged seeds, sorted, each one farther than DEDUPE_TOL from all
+    confirmed so far is confirmed; when that fails, the next member of its
+    cluster gets its turn.  The log lines name `mode` and `multiples`."""
     pair = tuple(surfs[j] for j in multiples)
-    mode = pair[0].mode
     curves_a, curves_b = (curves[j] for j in multiples)
     radius = 2.0 / grid_n
     seeds = _proximity_seeds(curves_a, curves_b, radius)
@@ -715,9 +710,9 @@ def _refine_pair(
             _polyline_distance(curves_a, point) <= radius
             and _polyline_distance(curves_b, point) <= radius
         ):
-            reports.append(IntersectionReport(mode, multiples, point, residuals, iters))
+            reports.append(IntersectionReport(multiples, point, residuals, iters))
         else:
-            log.info("mode %s: refined point strayed from parent polylines", mode)
+            log.info("mode %s %s: refined point strayed from parent polylines", mode, multiples)
     return tuple(reports)
 
 
@@ -729,7 +724,8 @@ PairReports = Tuple[Tuple[Tuple[int, int], Tuple[IntersectionReport, ...]], ...]
 class CommonZeros:
     """One mode's zero curves of f_{jm,jk}, their pairwise intersections,
     near-triple triangles and any certified triple zero (the last two only for
-    j = 1, 2, 3); none of them for a mode `skipped` below the visibility order."""
+    j = 1, 2, 3); none of them for a mode `skipped` below the visibility order.
+    The base mode and the order are held here only."""
 
     mode: Mode
     order: Tuple[int, int]
@@ -770,7 +766,7 @@ def _trace_and_refine(
     surfs = {j: ModeSurface(mode.multiple(j), order) for j in multiples}
     curves = {j: tuple(trace_surface(s, grid_n)) for j, s in surfs.items()}
     pair_reports = tuple(
-        (pair, _refine_pair(surfs, curves, pair, grid_n))
+        (pair, _refine_pair(mode, surfs, curves, pair, grid_n))
         for pair in itertools.combinations(multiples, 2)
     )
     return surfs, tuple(curves.items()), pair_reports
@@ -844,9 +840,7 @@ def find_triple(
             if key in seen:
                 continue
             seen.add(key)
-            triangles.append(
-                TriangleReport(mode, order, verts, area, incenter, inradius)
-            )
+            triangles.append(TriangleReport(verts, area, incenter, inradius))
 
     certificates: List[TripleZeroCertificate] = []
     triple = (surfs[1], surfs[2], surfs[3])
@@ -854,9 +848,7 @@ def find_triple(
     for res, _ in _newton_batch(triple, incenters):
         residuals = _confirm(triple, res[0]) if res else None
         if residuals is not None:
-            certificates.append(
-                TripleZeroCertificate(mode, order, res[0], residuals)  # type: ignore[arg-type]
-            )
+            certificates.append(TripleZeroCertificate(res[0], residuals))  # type: ignore[arg-type]
     return CommonZeros(
         mode, order, curves, pair_reports, tuple(triangles), tuple(certificates)
     )
@@ -896,7 +888,10 @@ class AtlasReport:
 def _scan_one(args: Tuple[Mode, str, Tuple[int, int], int]) -> CommonZeros:
     mode, task, order, grid_n = args
     j_max = {"curves": 1, "double": 2, "triple": 3}[task]
-    if order[0] < j_max * mode.m_star or order[1] < j_max * abs(mode.m - mode.k):
+    if any(
+        order[0] < jm.m_star or order[1] < abs(jm.m - jm.k)
+        for jm in map(mode.multiple, range(1, j_max + 1))
+    ):
         return CommonZeros(mode, order, skipped=True)
     if task == "curves":
         curves = tuple(trace_surface(ModeSurface(mode, order), grid_n))
@@ -916,8 +911,10 @@ def scan_modes(
     least 1), or over `modes`, each at most once (then `m_max` must not be
     given and keeps its default).
 
-    Skips modes whose leading monomial is invisible at this order; `jobs` > 1
-    distributes modes over worker processes (results keep the input order).
+    Skips a mode when the leading monomial a^{m*} e^{|m-k|} of one of the
+    f_{jm,jk} the task traces (j <= 1, 2 or 3), each with its own m*, lies
+    beyond the truncation order; `jobs` > 1 distributes modes over worker
+    processes (results keep the input order).
     """
     if task not in ("curves", "double", "triple"):
         raise ValueError(f"unknown task {task!r}")

@@ -46,22 +46,13 @@ class OrbitPoint:
 
 
 def solve_kepler(ell: float, e: float) -> OrbitPoint:
-    """Solve u - e sin u = ell at one point, on ell reduced to [0, 2pi): the
-    Newton of `_kepler` on floats, and `_kepler` itself where that stalls."""
+    """Solve u - e sin u = ell at one point: `_kepler` on ell reduced to
+    [0, 2pi)."""
     if not 0.0 <= e < 1.0:
         raise DomainError(f"eccentricity must lie in [0,1), got {e}")
     two_pi = 2.0 * math.pi
     shift = math.floor(ell / two_pi) * two_pi
-    x = ell - shift
-    u = x
-    for _ in range(80):
-        g = u - e * math.sin(u) - x
-        if abs(g) <= KEPLER_TOL:
-            break
-        u -= g / (1.0 - e * math.cos(u))
-    else:
-        u = float(_kepler(np.array([x]), e)[0])
-    u += shift
+    u = float(_kepler(np.array([ell - shift]), e)[0]) + shift
     r_over_a = 1.0 - e * math.cos(u)
     f = math.atan2(
         math.sqrt(1.0 - e * e) * math.sin(u) / r_over_a,

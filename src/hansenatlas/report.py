@@ -30,9 +30,9 @@ def curves_csv(entries: Sequence[CommonZeros]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _intersection_obj(rep: IntersectionReport) -> dict:
+def _intersection_obj(entry: CommonZeros, rep: IntersectionReport) -> dict:
     return {
-        "mode": {"m": rep.mode.m, "k": rep.mode.k},
+        "mode": {"m": entry.mode.m, "k": entry.mode.k},
         "multiples": list(rep.multiples),
         "point": {"a": rep.point[0], "e": rep.point[1]},
         "residuals": list(rep.residuals),
@@ -40,10 +40,10 @@ def _intersection_obj(rep: IntersectionReport) -> dict:
     }
 
 
-def _triangle_obj(tri: TriangleReport) -> dict:
+def _triangle_obj(entry: CommonZeros, tri: TriangleReport) -> dict:
     return {
-        "mode": {"m": tri.mode.m, "k": tri.mode.k},
-        "order": {"a": tri.order[0], "e": tri.order[1]},
+        "mode": {"m": entry.mode.m, "k": entry.mode.k},
+        "order": {"a": entry.order[0], "e": entry.order[1]},
         "vertices": [{"a": v[0], "e": v[1]} for v in tri.vertices],
         "area": tri.area,
         "incenter": {"a": tri.incenter[0], "e": tri.incenter[1]},
@@ -51,10 +51,10 @@ def _triangle_obj(tri: TriangleReport) -> dict:
     }
 
 
-def _certificate_obj(cert: TripleZeroCertificate) -> dict:
+def _certificate_obj(entry: CommonZeros, cert: TripleZeroCertificate) -> dict:
     return {
-        "mode": {"m": cert.mode.m, "k": cert.mode.k},
-        "order": {"a": cert.order[0], "e": cert.order[1]},
+        "mode": {"m": entry.mode.m, "k": entry.mode.k},
+        "order": {"a": entry.order[0], "e": entry.order[1]},
         "point": {"a": cert.point[0], "e": cert.point[1]},
         "residuals": list(cert.residuals),
     }
@@ -75,9 +75,9 @@ def atlas_json(report: AtlasReport) -> str:
                 "skipped": e.skipped,
                 "reason": "below visibility order" if e.skipped else "",
                 "curve_counts": {str(j): len(cs) for j, cs in e.curves},
-                "intersections": [_intersection_obj(r) for r in e.intersections],
-                "triangles": [_triangle_obj(t) for t in e.triangles],
-                "certificates": [_certificate_obj(c) for c in e.certificates],
+                "intersections": [_intersection_obj(e, r) for r in e.intersections],
+                "triangles": [_triangle_obj(e, t) for t in e.triangles],
+                "certificates": [_certificate_obj(e, c) for c in e.certificates],
                 "min_distance": e.min_distance,
             }
             for e in report.entries

@@ -457,7 +457,7 @@ def test_trace_1_m7_curve_vanishes_between_orders_20_and_30():
 
 def test_marching_squares_on_synthetic_circle():
     # tracer core on a known implicit curve
-    curves = trace_surface(PolynomialSurface(CIRCLE), 128, 1e-9)
+    curves = trace_surface(PolynomialSurface(CIRCLE), 128)
     assert len(curves) == 1
     (curve,) = curves
     assert curve.closed
@@ -541,11 +541,10 @@ def test_trace_evaluates_only_nodes_of_open_boxes_once(monkeypatch):
 # -- the tracer against its per-cell loop -------------------------------------
 
 
-def _trace_reference(surf, grid_n, eps=atlas.EPS_CURVE):
+def _trace_reference(surf, grid_n):
     """(curves, saddle cells) of the tracer as first written: a sorted loop
     over the cells with a crossing, tuple edge keys, and the chaining of
     `trace_surface`; on the same signs and the same `atlas._bisect_edges`."""
-    mode, order = surf.mode, surf.order
     ax = grid_axis(grid_n)
     S, _ = grid_signs(surf.poly.series, ax)
     a_change = S[:-1, :] != S[1:, :]
@@ -563,7 +562,7 @@ def _trace_reference(surf, grid_n, eps=atlas.EPS_CURVE):
     pa, pe, pv = atlas._bisect_edges(surf, a_lo, e_lo, a_hi, e_hi, neg_lo)
 
     points = {}
-    ok = np.abs(pv) <= eps
+    ok = np.abs(pv) <= atlas.EPS_CURVE
     n_a = len(ai)
     for idx in range(len(pa)):
         if not ok[idx]:
@@ -666,7 +665,7 @@ def _trace_reference(surf, grid_n, eps=atlas.EPS_CURVE):
                 pts.append(points[k])
         if closed and len(pts) > 1 and pts[-1] == pts[0]:
             pts.pop()
-        return atlas.ZeroCurve(mode, order, tuple(pts), closed)
+        return atlas.ZeroCurve(tuple(pts), closed)
 
     endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
     for start in endpoints:
@@ -681,7 +680,7 @@ def _trace_reference(surf, grid_n, eps=atlas.EPS_CURVE):
     return curves, saddle_cells
 
 
-def trace_counting_saddles(surf, grid_n, eps=atlas.EPS_CURVE):
+def trace_counting_saddles(surf, grid_n):
     """(curves, saddle cells) of `trace_surface`, the count read from its INFO
     record."""
     records = []
@@ -692,7 +691,7 @@ def trace_counting_saddles(surf, grid_n, eps=atlas.EPS_CURVE):
     atlas_log.setLevel(logging.INFO)
     atlas_log.addHandler(handler)
     try:
-        curves = trace_surface(surf, grid_n, eps)
+        curves = trace_surface(surf, grid_n)
     finally:
         atlas_log.removeHandler(handler)
         atlas_log.setLevel(level)
@@ -700,10 +699,10 @@ def trace_counting_saddles(surf, grid_n, eps=atlas.EPS_CURVE):
     return curves, sum(saddles)
 
 
-def assert_trace_is_reference(surf, grid_n, eps=atlas.EPS_CURVE):
+def assert_trace_is_reference(surf, grid_n):
     """Returns the saddle cells, so that a test can show it reached some."""
-    got = trace_counting_saddles(surf, grid_n, eps)
-    assert got == _trace_reference(surf, grid_n, eps)
+    got = trace_counting_saddles(surf, grid_n)
+    assert got == _trace_reference(surf, grid_n)
     return got[1]
 
 
@@ -713,7 +712,7 @@ def test_trace_equals_reference_property(series, grid_n):
     assert_trace_is_reference(PolynomialSurface(series), grid_n)
 
 
-def test_trace_equals_reference_on_saddles():
+def test_trace_equals_reference_on_saddles(monkeypatch):
     # (a - x0)(e - y0) + delta has a saddle at (x0, y0) for delta = 0 and
     # nearly one otherwise; x0 = y0 = 1/2 is the centre of a cell at even grids;
     # at eps = 1e-17 some saddle cells lose a crossing and are skipped
@@ -727,7 +726,8 @@ def test_trace_equals_reference_on_saddles():
     for delta, (x0, y0) in itertools.product(deltas, centres):
         series = SeriesAE({(1, 1): 1, (1, 0): -y0, (0, 1): -x0, (0, 0): x0 * y0 + delta}, 1, 1)
         for grid_n, eps in itertools.product(range(16, 49, 3), (atlas.EPS_CURVE, 1e-17)):
-            saddles += assert_trace_is_reference(PolynomialSurface(series), grid_n, eps)
+            monkeypatch.setattr(atlas, "EPS_CURVE", eps)
+            saddles += assert_trace_is_reference(PolynomialSurface(series), grid_n)
     assert saddles > 0
 
 
@@ -740,9 +740,10 @@ def test_trace_equals_reference_on_circle():
     [(Mode(2, -14), (60, 60), atlas.EPS_CURVE, 19), (Mode(1, -7), (20, 20), 1e-30, 105)],
     ids=["2,-14-order60", "1,-7-order20-eps1e-30"],
 )
-def test_trace_equals_reference_where_crossings_drop(mode, order, eps, dropped):
+def test_trace_equals_reference_where_crossings_drop(mode, order, eps, dropped, monkeypatch):
+    monkeypatch.setattr(atlas, "EPS_CURVE", eps)
     with dropped_crossings() as counter:
-        assert_trace_is_reference(ModeSurface(mode, order), 128, eps)
+        assert_trace_is_reference(ModeSurface(mode, order), 128)
     assert counter.total == dropped
 
 
@@ -846,7 +847,6 @@ def test_find_double_confirms_each_distinct_point_once(monkeypatch):
     assert len(calls) == 2
     assert reports == (
         IntersectionReport(
-            Mode(2, 5),
             (1, 2),
             (0.6199069160575563, 0.7198767653355207),
             (1.396057801103287e-17, 4.5454365164073886e-17),
@@ -914,6 +914,16 @@ def test_confirmation_is_one_exact_residual_per_surface(monkeypatch, caplog):
     assert any(status != "converged" for _, status in results)
 
 
+def test_pair_log_lines_name_the_base_mode(caplog):
+    # the pair (2, 3) of (2,3) is f_{4,6} and f_{6,9}: its lines name the
+    # base mode and the multiples, as the other pairs' lines do
+    with caplog.at_level(logging.INFO, logger="hansenatlas.atlas"):
+        find_triple(Mode(2, 3), (30, 30))
+    dropped = [r.getMessage() for r in caplog.records if "Newton dropped seed" in r.getMessage()]
+    assert any(line.startswith("mode (2,3) (2, 3): Newton dropped seed") for line in dropped)
+    assert all(line.startswith("mode (2,3) (") for line in dropped)
+
+
 def test_newton_points_meet_the_normalized_tolerance_alone(monkeypatch):
     # why `_confirm` tests no |fhat|: every point that `_newton_batch` returns
     # for (5,-2) at order 60, evaluated again on its own, has
@@ -941,7 +951,7 @@ def test_refined_point_off_a_parent_polyline_is_not_reported(caplog):
     mode, order, grid_n = Mode(2, 5), (30, 30), 128
     surfs = {j: ModeSurface(mode.multiple(j), order) for j in (1, 2)}
     curves = {j: tuple(trace_surface(s, grid_n)) for j, s in surfs.items()}
-    (true,) = atlas._refine_pair(surfs, curves, (1, 2), grid_n)
+    (true,) = atlas._refine_pair(mode, surfs, curves, (1, 2), grid_n)
     shift = 3.0 / grid_n
     curves[2] = tuple(
         dataclasses.replace(c, points=tuple((a, e + shift) for a, e in c.points))
@@ -949,9 +959,9 @@ def test_refined_point_off_a_parent_polyline_is_not_reported(caplog):
     )
     assert atlas._polyline_distance(curves[2], true.point) > 2.0 / grid_n
     with caplog.at_level(logging.INFO, logger="hansenatlas.atlas"):
-        assert atlas._refine_pair(surfs, curves, (1, 2), grid_n) == ()
+        assert atlas._refine_pair(mode, surfs, curves, (1, 2), grid_n) == ()
     assert [r.getMessage() for r in caplog.records].count(
-        "mode (2,5): refined point strayed from parent polylines"
+        "mode (2,5) (1, 2): refined point strayed from parent polylines"
     ) == 1
 
 
@@ -1147,7 +1157,12 @@ def test_scan_modes_visibility_skip():
     skipped = {str(e.mode) for e in report.entries if e.skipped}
     assert "(3,1)" in skipped  # needs 3*m* = 9 > 6
     assert "(2,1)" not in skipped
-    assert "(1,2)" in skipped  # needs 3*m* = 9 > 6
+    # f_{1,2}, f_{2,4} and f_{3,6} have m* = 3, 2 and 3, all visible at order 6
+    assert "(1,2)" not in skipped
+    # each multiple needs its own m* <= 6 and j|m-k| <= 6
+    assert skipped == {"(1,-2)", "(1,-3)", "(2,-1)", "(3,-1)", "(3,1)"}
+    (entry,) = (e for e in report.entries if e.mode == Mode(1, 2))
+    assert entry.curve_count == 2
 
 
 def test_scan_modes_parallel_matches_serial():

@@ -640,7 +640,7 @@ ZEROS_DIGESTS = {
         ("--task", "triple", "--modes", "3,4", "--order", "40", "--grid", "128"),
         {
             "curves.csv": "b4287926a329e70ab597472d0bde41cdf3c16e82358c773d82a6827dd47c4dfc",
-            "atlas.json": "5a9ee6894471d361251d3ea195eba5f78a0862214ac2147a224e0aeff5d3ea55",
+            "atlas.json": "2d4716d4fce63f6bc53b80c7d2de6298ce68d75dcc979903d215f63992b491c0",
         },
     ),
     "double": (
@@ -662,7 +662,7 @@ ZEROS_DIGESTS = {
         ("--task", "triple", "--modes", "3,-5", "--order", "60", "--grid", "128"),
         {
             "curves.csv": "ea5dd52eb4a83793b780809eb59bb5d1b36273c3f2e2f9c692e534e8652eddb0",
-            "atlas.json": "7c71ebc2371a89e25d29ade24414a48cfd42bd21a912245556978880c852ea0c",
+            "atlas.json": "e225c0c6faf67a67cc3cba97b823f59dc2b26353bee9804abf0d4522fa62723e",
         },
     ),
     # 269 Newton seeds: 231 converge in float, 35 stagnate, 3 find no descent
@@ -670,7 +670,7 @@ ZEROS_DIGESTS = {
         ("--task", "triple", "--order", "20", "--mmax", "8", "--grid", "128"),
         {
             "curves.csv": "6efcf20f52654ef0f05b068128b894ce6419aa8504208bc2bea636298b7f0e90",
-            "atlas.json": "407e268f836005d49d925993ebf8c8b56362c7a712b75468c16231b36b65bdbe",
+            "atlas.json": "d3bcb859f5a87f014f006bbe6cd4000dc93f6abc9ae7338c49ef28e87c7dcfec",
         },
     ),
     # the benchmark's curves-hires command: 44 surfaces on 4.2 M nodes each
@@ -686,7 +686,7 @@ ZEROS_DIGESTS = {
         ("--task", "triple", "--order", "40", "--order-e", "140", "--modes", "5,-2"),
         {
             "curves.csv": "2270c3fb22da3e3432b71813052e72eb22f99a1950c27a272900655db5af5cb5",
-            "atlas.json": "3df3c8a8e7e21cc1833bcb06d84fbcc2486a735927b0ed4b6e93cb207c9f293b",
+            "atlas.json": "24637d2afe8b9a2f9c7fbc77efbe62ec987b8e9d1f9d105c3a7fa99e211b954e",
         },
     ),
 }
@@ -704,3 +704,18 @@ def test_zeros_artifact_digests(tmp_path, capsys, name):
         for artifact in want
     }
     assert digests == want
+
+
+def test_zeros_triple_objects_name_their_entrys_mode(tmp_path, capsys):
+    # the (2,3) intersections of (3,4) are zeros of f_{6,8} and f_{9,12}; each
+    # object names the entry's mode, and `multiples` the j's
+    code, _, _ = run(
+        capsys, "zeros", "--task", "triple", "--modes", "3,4", "--order", "40",
+        "--grid", "128", "--jobs", "1", "--out", str(tmp_path),
+    )
+    assert code == 0
+    (entry,) = json.loads((tmp_path / "atlas.json").read_text())["modes"]
+    assert [2, 3] in [rep["multiples"] for rep in entry["intersections"]]
+    assert entry["triangles"]
+    objects = entry["intersections"] + entry["triangles"] + entry["certificates"]
+    assert all(obj["mode"] == entry["mode"] == {"m": 3, "k": 4} for obj in objects)
