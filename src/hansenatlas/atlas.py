@@ -486,6 +486,8 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID) -> List[ZeroCurve]:
     visited = set()
     curves: List[ZeroCurve] = []
 
+    # an edge lies in at most two cells, each of which joins it to one other
+    # edge: an id has at most two neighbours, and a chain is a path or a cycle
     def walk(start: int) -> Tuple[List[int], bool]:
         chain = [start]
         visited.add(start)
@@ -493,13 +495,11 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID) -> List[ZeroCurve]:
         while True:
             nxt = None
             for cand in adjacency[cur]:
-                if cand != prev and (cand not in visited or cand == start):
+                if cand != prev:
                     nxt = cand
                     break
-            if nxt is None or (nxt == start and len(chain) > 2):
+            if nxt is None or nxt in visited:
                 return chain, nxt == start
-            if nxt in visited:
-                return chain, False
             chain.append(nxt)
             visited.add(nxt)
             prev, cur = cur, nxt
@@ -513,10 +513,7 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID) -> List[ZeroCurve]:
         return ZeroCurve(tuple(pts), closed)
 
     endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    for start in endpoints:
-        if start not in visited:
-            curves.append(polyline(walk(start)[0], False))
-    for start in sorted(adjacency):
+    for start in endpoints + sorted(adjacency):
         if start not in visited:
             curves.append(polyline(*walk(start)))
     curves.sort(key=lambda c: c.points[0])

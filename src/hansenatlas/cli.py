@@ -11,14 +11,13 @@ spotcheck series value vs quadrature oracle at one (m,k,a,e)
 
 Exit codes: 0 success (also when the reader of stdout closes it early, as
 `| head` does), 2 usage error, 3 numerical-domain error,
-4 cross-method disagreement.  An unknown name in `zeros --formats`, that
-option without `--out`, a range or mode list that does not parse (the message
-names its option), a negative truncation order or m, `zeros --mmax` below 1
-and a mode given twice in `zeros --modes` are usage errors; a library
-`ValueError` becomes one, with its message.  HANSENATLAS_JOBS sets the default
-worker count; a value of it (under any subcommand) or of `--jobs` that is not
-an integer >= 1 is a usage error too.  With --out DIR all artifacts land in DIR
-together with a manifest.json naming the inputs, orders and tool version.
+4 cross-method disagreement.  A range or mode list that does not parse (the
+message names its option), a negative truncation order or m, `zeros --mmax`
+below 1, a mode given twice in `zeros --modes` and a `--jobs` that is not an
+integer >= 1 are usage errors; a library `ValueError` becomes one, with its
+message.  With --out DIR all artifacts land in DIR together with a
+manifest.json naming the inputs, orders and tool version; `zeros --out`
+writes curves.csv, atlas.json and atlas.svg.
 """
 from __future__ import annotations
 
@@ -53,7 +52,6 @@ from .svgplot import render_svg
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_DISAGREEMENT = 4
-ZEROS_FORMATS = ("csv", "json", "svg")
 
 
 def _parse_range(text: str, option: str) -> List[int]:
@@ -124,10 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    try:
-        default_jobs = _worker_count(os.environ.get("HANSENATLAS_JOBS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"HANSENATLAS_JOBS: {exc}") from None
 
     p = sub.add_parser("hansen", help="Hansen coefficient series")
     p.add_argument("--n", required=True, help="radius exponent (int or lo..hi)")
@@ -158,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=int, default=None, help="bound on |m|+|k|")
     p.add_argument("--modes", default=None, help="explicit list, e.g. '5,-2;3,4'")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p.add_argument("--jobs", type=_worker_count, default=default_jobs)
-    p.add_argument("--formats", help="comma list of csv,json,svg (default: all); needs --out")
+    p.add_argument("--jobs", type=_worker_count, default=1)
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="timing comparison of Hansen methods")
@@ -234,18 +227,6 @@ def _cmd_tmk(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
-    formats = args.formats.split(",") if args.formats is not None else ZEROS_FORMATS
-    unknown = [f for f in formats if f not in ZEROS_FORMATS]
-    if unknown:
-        print(
-            f"unknown format(s) {', '.join(map(repr, unknown))}; "
-            f"choose from {','.join(ZEROS_FORMATS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.formats is not None and not args.out:
-        print("--formats requires --out", file=sys.stderr)
-        return EXIT_USAGE
     order_e = args.order_e if args.order_e is not None else args.order
     modes = _parse_modes(args.modes) if args.modes else None
     report = scan_modes(
@@ -269,13 +250,10 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
                 "grid": args.grid,
             },
         )
-        if "csv" in formats:
-            out.write("curves.csv", curves_csv(report.entries))
-        if "json" in formats:
-            out.write("atlas.json", atlas_json(report))
-        if "svg" in formats:
-            title = f"task={args.task} order=({args.order},{order_e})"
-            out.write("atlas.svg", render_svg(report, title))
+        out.write("curves.csv", curves_csv(report.entries))
+        out.write("atlas.json", atlas_json(report))
+        title = f"task={args.task} order=({args.order},{order_e})"
+        out.write("atlas.svg", render_svg(report, title))
         out.finish()
     print(f"task={args.task} order=({args.order},{order_e}) grid={args.grid}")
     print(f"modes scanned: {len(report.entries)}")

@@ -110,11 +110,12 @@ def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
     """Exact truncated f_{m,k}(a,e); requires m >= 0 and orders >= 0.
 
     Modes with m = 0 and k < 0 are folded onto f_{0,-k} = f_{0,k}.  When
-    trunc_a < m* the mode is invisible at this order: the sum is empty (an
-    identically-zero series unless (m,k) = (0,0), which keeps its -1) and a
-    warning is logged.  Each mode is cached once, assembled at the largest
-    a-order and the largest e-order requested so far, and every request is
-    served by truncation; `clear_fourier_cache()` empties the cache.
+    trunc_a < m* or trunc_e < |m-k| the mode is invisible at these orders: the
+    series is identically zero (unless (m,k) = (0,0), which keeps its -1) and a
+    warning is logged for each order that is too low.  Each mode is cached
+    once, assembled at the largest a-order and the largest e-order requested so
+    far, and every request is served by truncation; `clear_fourier_cache()`
+    empties the cache.
     """
     if mode.m < 0:
         raise ValueError(
@@ -125,10 +126,9 @@ def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
         raise ValueError(f"truncation orders must be non-negative, got ({trunc_a}, {trunc_e})")
     if mode.m == 0 and mode.k < 0:
         mode = Mode(0, -mode.k)
-    if trunc_a < mode.m_star:
-        log.warning(
-            "mode %s invisible at a-order %d (needs %d)", mode, trunc_a, mode.m_star
-        )
+    for var, trunc, needs in (("a", trunc_a, mode.m_star), ("e", trunc_e, abs(mode.m - mode.k))):
+        if trunc < needs:
+            log.warning("mode %s invisible at %s-order %d (needs %d)", mode, var, trunc, needs)
     mk = (mode.m, mode.k)
     entry = _FOURIER_CACHE.get(mk, (-1, -1, None))
     if entry[0] < trunc_a or entry[1] < trunc_e:

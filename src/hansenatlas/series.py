@@ -144,7 +144,7 @@ class SeriesE:
                 acc += v
         return acc
 
-    def pretty(self, var: str = "e") -> str:
+    def pretty(self) -> str:
         """Human form, e.g. "5/2 e^2" or "-e + 1/8 e^3"."""
         if not self.c:
             return "0"
@@ -154,7 +154,7 @@ class SeriesE:
             if q == 0:
                 body = mag
             else:
-                power = var if q == 1 else f"{var}^{q}"
+                power = "e" if q == 1 else f"e^{q}"
                 body = power if mag == "1" else f"{mag} {power}"
             if not parts:
                 parts.append(body if v > 0 else f"-{body}")

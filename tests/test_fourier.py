@@ -99,6 +99,24 @@ def test_invisible_mode_warns_and_is_zero(caplog):
     assert any("invisible" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize(
+    "mode,messages",
+    [
+        # visible at a-order 5, but the lowest e-power is e^7
+        (Mode(1, 8), ["mode (1,8) invisible at e-order 5 (needs 7)"]),
+        (Mode(6, 0), ["mode (6,0) invisible at a-order 5 (needs 6)",
+                      "mode (6,0) invisible at e-order 5 (needs 6)"]),
+    ],
+    ids=["e", "a-and-e"],
+)
+def test_invisible_mode_warns_once_per_order_too_low(caplog, mode, messages):
+    clear_fourier_cache()
+    with caplog.at_level(logging.WARNING, logger="hansenatlas.fourier"):
+        f = fourier_coefficient(mode, 5, 5)
+    assert f.is_zero()
+    assert [r.getMessage() for r in caplog.records] == messages
+
+
 def test_negative_m_rejected():
     with pytest.raises(ValueError):
         fourier_coefficient(Mode(-1, 2), 6, 6)

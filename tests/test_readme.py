@@ -1,4 +1,5 @@
 """The README names only what the package has."""
+import argparse
 import importlib
 import pkgutil
 import re
@@ -6,6 +7,7 @@ import types
 from pathlib import Path
 
 import hansenatlas
+from hansenatlas.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +41,32 @@ def test_readme_dotted_names_resolve():
             obj = getattr(obj, part)
     assert missing == []
     assert {"hansenatlas.atlas", "enclose.Enclosure", "SeriesAE.eval_exact"} <= set(checked)
+
+
+def _parser_options():
+    """Every option string of `build_parser()`, top-level or of a subcommand."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        option
+        for p in (parser, *sub.choices.values())
+        for action in p._actions
+        for option in action.option_strings
+    }
+
+
+def test_readme_options_exist():
+    # every --flag in an inline code span, or on a `hansenatlas ...` line of a
+    # code block, must be an option of the command; other commands' flags, such
+    # as pip's --no-build-isolation, are not checked
+    text = README.read_text()
+    blocks = re.findall(r"^```.*?^```", text, flags=re.M | re.S)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    commands = [
+        line for block in blocks for line in block.splitlines() if line.startswith("hansenatlas ")
+    ]
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    flag = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+    flags = {found for chunk in commands + spans for found in flag.findall(chunk)}
+    assert sorted(flags - _parser_options()) == []
+    assert {"--out", "--jobs", "--mmax", "--order-e"} <= flags
