@@ -15,9 +15,9 @@ Exit codes: 0 success (also when the reader of stdout closes it early, as
 message names its option), a negative truncation order or m, `zeros --mmax`
 below 1, a mode given twice in `zeros --modes` and a `--jobs` that is not an
 integer >= 1 are usage errors; a library `ValueError` becomes one, with its
-message.  With --out DIR all artifacts land in DIR together with a
-manifest.json naming the inputs, orders and tool version; `zeros --out`
-writes curves.csv, atlas.json and atlas.svg.
+message.  Only `zeros` writes files: --out DIR gets curves.csv, atlas.json,
+atlas.svg and a manifest.json naming the inputs, orders and tool version; an
+--out that a non-directory blocks is a usage error, raised before the scan.
 """
 from __future__ import annotations
 
@@ -31,13 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .atlas import DEFAULT_GRID, PolyEval, scan_modes
-from .fourier import (
-    Mode,
-    coefficient_csv,
-    coefficient_json_obj,
-    fourier_coefficient,
-    t_mk,
-)
+from .fourier import Mode, coefficient_csv, fourier_coefficient, t_mk
 from .hansen import (
     METHODS,
     HansenKey,
@@ -130,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, help="truncation order in e")
     p.add_argument("--method", default="wnuk", choices=METHODS)
     p.add_argument("--table", action="store_true", help="emit rows-n by columns-m table")
-    p.add_argument("--format", default="text", choices=("text", "csv"))
-    p.add_argument("--out")
 
     p = sub.add_parser("fourier", help="Fourier coefficient matrix of f_{m,k}")
     p.add_argument("--m", type=int, required=True)
@@ -139,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, help="a-order (and e-order default)")
     p.add_argument("--order-e", type=int, default=None)
     p.add_argument("--eval", nargs=2, type=float, metavar=("A", "E"), default=None)
-    p.add_argument("--out")
 
     p = sub.add_parser("tmk", help="asymptotic leading coefficient t_{m,k}")
     p.add_argument("--m", type=int, required=True)
@@ -177,20 +168,10 @@ def _cmd_hansen(args: argparse.Namespace) -> int:
     n_values = _parse_range(args.n, "--n")
     m_values = _parse_range(args.m, "--m")
     if args.table:
-        text = hansen_table(n_values, m_values, args.k, args.order, args.method, args.format)
-        print(text, end="")
-        if args.out:
-            manifest_args = {"n": args.n, "m": args.m, "k": args.k, "order": args.order,
-                             "method": args.method, "format": args.format}
-            out = _Outputs(args.out, "hansen", manifest_args)
-            out.write(f"hansen_table_k{args.k}.{args.format if args.format=='csv' else 'txt'}", text)
-            out.finish()
+        print(hansen_table(n_values, m_values, args.k, args.order, args.method), end="")
         return 0
     if len(n_values) != 1 or len(m_values) != 1:
         print("ranges require --table", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out or args.format == "csv":
-        print(f"{'--out' if args.out else '--format csv'} requires --table", file=sys.stderr)
         return EXIT_USAGE
     print(hansen(HansenKey(n_values[0], m_values[0], args.k), args.order, args.method).pretty())
     return 0
@@ -198,25 +179,12 @@ def _cmd_hansen(args: argparse.Namespace) -> int:
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
     order_e = args.order_e if args.order_e is not None else args.order
-    mode = Mode(args.m, args.k)
-    series = fourier_coefficient(mode, args.order, order_e)
+    series = fourier_coefficient(Mode(args.m, args.k), args.order, order_e)
     if args.eval is not None:
         value = PolyEval(series).at_point(args.eval[0], args.eval[1])
         print(repr(value))
     else:
         print(coefficient_csv(series), end="")
-    if args.out:
-        out = _Outputs(
-            args.out,
-            "fourier",
-            {"m": args.m, "k": args.k, "order": args.order, "order_e": order_e},
-        )
-        out.write(f"fourier_{args.m}_{args.k}.csv", coefficient_csv(series))
-        out.write(
-            f"fourier_{args.m}_{args.k}.json",
-            json.dumps(coefficient_json_obj(mode, series), indent=2) + "\n",
-        )
-        out.finish()
     return 0
 
 
@@ -229,6 +197,11 @@ def _cmd_tmk(args: argparse.Namespace) -> int:
 def _cmd_zeros(args: argparse.Namespace) -> int:
     order_e = args.order_e if args.order_e is not None else args.order
     modes = _parse_modes(args.modes) if args.modes else None
+    if args.out:  # a path that `mkdir -p` cannot make fails now, not after the scan
+        path = Path(args.out)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"--out: {str(existing)!r} exists and is not a directory")
     report = scan_modes(
         (args.order, order_e),
         m_max=args.mmax,

@@ -111,11 +111,11 @@ def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
 
     Modes with m = 0 and k < 0 are folded onto f_{0,-k} = f_{0,k}.  When
     trunc_a < m* or trunc_e < |m-k| the mode is invisible at these orders: the
-    series is identically zero (unless (m,k) = (0,0), which keeps its -1) and a
-    warning is logged for each order that is too low.  Each mode is cached
-    once, assembled at the largest a-order and the largest e-order requested so
-    far, and every request is served by truncation; `clear_fourier_cache()`
-    empties the cache.
+    series is identically zero and a warning is logged for each order that is
+    too low; (0,0) keeps its -1 and logs nothing.  Each mode is cached once,
+    assembled at the largest a-order and the largest e-order requested so far,
+    and every request is served by truncation; `clear_fourier_cache()` empties
+    the cache.
     """
     if mode.m < 0:
         raise ValueError(
@@ -126,10 +126,10 @@ def fourier_coefficient(mode: Mode, trunc_a: int, trunc_e: int) -> SeriesAE:
         raise ValueError(f"truncation orders must be non-negative, got ({trunc_a}, {trunc_e})")
     if mode.m == 0 and mode.k < 0:
         mode = Mode(0, -mode.k)
-    for var, trunc, needs in (("a", trunc_a, mode.m_star), ("e", trunc_e, abs(mode.m - mode.k))):
-        if trunc < needs:
-            log.warning("mode %s invisible at %s-order %d (needs %d)", mode, var, trunc, needs)
     mk = (mode.m, mode.k)
+    for var, trunc, needs in (("a", trunc_a, mode.m_star), ("e", trunc_e, abs(mode.m - mode.k))):
+        if trunc < needs and mk != (0, 0):
+            log.warning("mode %s invisible at %s-order %d (needs %d)", mode, var, trunc, needs)
     entry = _FOURIER_CACHE.get(mk, (-1, -1, None))
     if entry[0] < trunc_a or entry[1] < trunc_e:
         top_a, top_e = max(entry[0], trunc_a), max(entry[1], trunc_e)
@@ -255,7 +255,7 @@ def asymptotic_consistency(
 
 
 # ---------------------------------------------------------------------------
-# Matrix export (rows = a-exponent, columns = e-exponent)
+# Matrix layout for stdout (rows = a-exponent, columns = e-exponent)
 # ---------------------------------------------------------------------------
 
 
@@ -274,15 +274,3 @@ def coefficient_csv(series: SeriesAE) -> str:
     for n, row in enumerate(coefficient_rows(series)):
         lines.append(f"{n}," + ",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def coefficient_json_obj(mode: Mode, series: SeriesAE) -> dict:
-    return {
-        "mode": {"m": mode.m, "k": mode.k},
-        "order_a": series.trunc_a,
-        "order_e": series.trunc_e,
-        "terms": [
-            {"a_exp": n, "e_exp": q, "value": str(v)}
-            for (n, q), v in series.terms()
-        ],
-    }

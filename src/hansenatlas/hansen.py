@@ -543,12 +543,10 @@ def hansen_table(
     k: int,
     trunc: int,
     method: str = "wnuk",
-    fmt: str = "text",
 ) -> str:
-    """Rows n, columns m table of X_k^{n,m} at one truncation order.
-
-    `fmt` is "text" (aligned columns) or "csv"; coefficients stay exact.
-    Wnuk's route, the default, computes a column per call.
+    """Rows n, columns m table of X_k^{n,m} at one truncation order, in aligned
+    text columns of exact coefficients; Wnuk's route, the default, computes a
+    column per call.
     """
     header = ["n"] + [f"X^(n,{m})_{k}" for m in m_values]
     columns = []
@@ -559,15 +557,6 @@ def hansen_table(
         else:
             columns.append([hansen(HansenKey(n, m, k), trunc, method) for n in n_values])
     rows = [[str(n)] + [column[i].pretty() for column in columns] for i, n in enumerate(n_values)]
-    if fmt == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()

@@ -89,32 +89,6 @@ def test_hansen_table_runs_the_requested_method(capsys, monkeypatch):
     assert "1 - e^2 + 7/64 e^4 - 5/288 e^6" in out.splitlines()[1]
 
 
-def test_hansen_table_manifest_records_method_and_format(tmp_path, capsys):
-    out_dir = tmp_path / "table"
-    code, _, _ = run(
-        capsys, "hansen", "--table", "--method", "newcomb", "--k", "1", "--n", "0..1",
-        "--m", "0..1", "--order", "4", "--format", "csv", "--out", str(out_dir),
-    )
-    assert code == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["command"] == "hansen"
-    assert manifest["arguments"] == {
-        "format": "csv", "k": 1, "m": "0..1", "method": "newcomb", "n": "0..1", "order": 4,
-    }
-    assert manifest["outputs"] == ["hansen_table_k1.csv"]
-
-
-@pytest.mark.parametrize("option", ["--out", "--format csv"])
-def test_hansen_single_key_table_options_usage_error(tmp_path, capsys, option):
-    out_dir = tmp_path / "t"
-    argv = ["--out", str(out_dir)] if option == "--out" else ["--format", "csv"]
-    code, out, err = run(capsys, "hansen", "--n", "2", "--m", "2", "--k", "0", "--order", "7", *argv)
-    assert code == 2
-    assert f"{option} requires --table" in err
-    assert out == ""
-    assert not out_dir.exists()
-
-
 # -- fourier -----------------------------------------------------------------
 
 
@@ -135,38 +109,16 @@ def test_fourier_eval(capsys):
 
 @pytest.mark.parametrize(
     "extra, built",
-    [((), {"csv": 1, "json": 0}), (("--eval", "0.1", "0.2"), {"csv": 0, "json": 0})],
+    [((), 1), (("--eval", "0.1", "0.2"), 0)],
     ids=["matrix", "eval"],
 )
 def test_fourier_without_out_renders_no_artifact(capsys, monkeypatch, extra, built):
-    counts = {"csv": 0, "json": 0}
-
-    def counting(name, real):
-        def wrapper(*args):
-            counts[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(cli, "coefficient_csv", counting("csv", cli.coefficient_csv))
-    monkeypatch.setattr(cli, "coefficient_json_obj", counting("json", cli.coefficient_json_obj))
+    calls = []
+    real = cli.coefficient_csv
+    monkeypatch.setattr(cli, "coefficient_csv", lambda series: calls.append(1) or real(series))
     code, _, _ = run(capsys, "fourier", "--m", "5", "--k", "-2", "--order", "12", *extra)
     assert code == 0
-    assert counts == built
-
-
-def test_fourier_out_writes_matrix_json_and_manifest(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "fourier", "--m", "5", "--k", "-2", "--order", "12", "--out", str(tmp_path)
-    )
-    assert code == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fourier_5_-2.csv", "fourier_5_-2.json", "manifest.json"
-    ]
-    assert (tmp_path / "fourier_5_-2.csv").read_text() == out
-    assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == [
-        "fourier_5_-2.csv", "fourier_5_-2.json"
-    ]
+    assert len(calls) == built
 
 
 def test_fourier_below_visibility_warns(capsys, caplog):
@@ -275,6 +227,23 @@ def test_zeros_negative_order_usage_error(tmp_path, capsys, orders):
 
 def _fail(*args, **kwargs):
     raise AssertionError("called")
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+def test_zeros_out_blocked_by_file_usage_error_before_scan(tmp_path, capsys, monkeypatch, below):
+    # an --out that `mkdir -p` cannot make is refused before the scan runs
+    monkeypatch.setattr(cli, "scan_modes", _fail)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    code, out, err = run(
+        capsys, "zeros", "--task", "curves", "--order", "10", "--modes", "0,2", "--grid", "64",
+        "--out", str(blocker.joinpath(*below)),
+    )
+    assert code == 2
+    assert f"usage error: --out: {str(blocker)!r} exists and is not a directory" in err
+    assert out == ""
+    assert sorted(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_zeros_without_out_renders_nothing(capsys, monkeypatch):
@@ -495,15 +464,24 @@ def test_usage_error_exit_code_from_argparse(capsys):
         ["hansen", "--n", "2", "--m", "2", "--k", "0", "--order", "7", "--method", "auto"],
         ["zeros", "--task", "curves", "--order", "6", "--mmax", "2", "--grid", "16",
          "--formats", "csv", "--out", "OUT"],
+        ["hansen", "--table", "--n", "0..1", "--m", "0", "--k", "0", "--order", "4",
+         "--out", "OUT"],
+        ["hansen", "--table", "--n", "0..1", "--m", "0", "--k", "0", "--order", "4",
+         "--format", "csv"],
+        ["hansen", "--n", "2", "--m", "2", "--k", "0", "--order", "7", "--out", "OUT"],
+        ["hansen", "--n", "2", "--m", "2", "--k", "0", "--order", "7", "--format", "csv"],
+        ["fourier", "--m", "2", "--k", "2", "--order", "4", "--out", "OUT"],
     ],
     ids=[
         "hansen-config", "fourier-config", "zeros-config", "hansen-k0rec", "bench-k0rec",
-        "hansen-auto", "zeros-formats",
+        "hansen-auto", "zeros-formats", "hansen-table-out", "hansen-table-format",
+        "hansen-single-out", "hansen-single-format", "fourier-out",
     ],
 )
 def test_removed_options_usage_error(tmp_path, capsys, argv):
     # neither a config file, nor the k = 0 recursion, nor the `auto` method,
-    # nor a choice of what `zeros --out` writes exists
+    # nor a choice of what `zeros --out` writes exists, and only `zeros`
+    # writes files or has a layout option
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# no keys\n")
     out_dir = tmp_path / "out"

@@ -44,29 +44,41 @@ def test_readme_dotted_names_resolve():
 
 
 def _parser_options():
-    """Every option string of `build_parser()`, top-level or of a subcommand."""
+    """The option strings of each subcommand of `build_parser()`, and the union
+    of those with the top-level ones."""
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {
-        option
-        for p in (parser, *sub.choices.values())
-        for action in p._actions
-        for option in action.option_strings
+    options = {
+        name: {option for action in p._actions for option in action.option_strings}
+        for name, p in sub.choices.items()
     }
+    top = {option for action in parser._actions for option in action.option_strings}
+    return options, top.union(*options.values())
 
 
 def test_readme_options_exist():
     # every --flag in an inline code span, or on a `hansenatlas ...` line of a
-    # code block, must be an option of the command; other commands' flags, such
-    # as pip's --no-build-isolation, are not checked
+    # code block, must be an option of the command: of the subcommand that the
+    # line or span starts with (`hansenatlas zeros ...`, `zeros --out`), else of
+    # any; other commands' flags, such as pip's --no-build-isolation, are not
+    # checked
     text = README.read_text()
     blocks = re.findall(r"^```.*?^```", text, flags=re.M | re.S)
     prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
     commands = [
-        line for block in blocks for line in block.splitlines() if line.startswith("hansenatlas ")
+        line.removeprefix("hansenatlas ")
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("hansenatlas ")
     ]
     spans = re.findall(r"`([^`\n]+)`", prose)
     flag = re.compile(r"(?<![\w-])--[a-z][\w-]*")
-    flags = {found for chunk in commands + spans for found in flag.findall(chunk)}
-    assert sorted(flags - _parser_options()) == []
+    options, union = _parser_options()
+    flags, unknown = set(), []
+    for chunk in commands + spans:
+        allowed = options.get(next(iter(chunk.split()), None), union)
+        found = flag.findall(chunk)
+        flags.update(found)
+        unknown += [(chunk, option) for option in found if option not in allowed]
+    assert unknown == []
     assert {"--out", "--jobs", "--mmax", "--order-e"} <= flags
