@@ -591,9 +591,10 @@ def _newton_batch(
     seed that has just accepted a point stops there if converged or after
     NEWTON_MAX_ITER steps, else takes a `_step`; it tries x + lam * step,
     lam = NEWTON_DAMPING**t for t < 40, skipping trials outside the open
-    unit square, and accepts the first that lowers max |fhat_j| or meets the
-    tolerance.  On the normalized coefficients, zeros stay transversal where
-    the raw ones vanish to high order near the axes, so spurious
+    unit square, and accepts the first that lowers max |fhat_j| (a running
+    seed is above the tolerance, so a trial that meets it lowers it).  On
+    the normalized coefficients, zeros stay transversal where the raw ones
+    vanish to high order near the axes, so spurious
     absolute-residual solutions never converge.  Returns per seed
     (((a, e), iterations), "converged") or (None, the reason it was dropped:
     "singular", "no descent", "stagnant" or "iterations")."""
@@ -633,7 +634,7 @@ def _newton_batch(
         xn = trials[found][np.arange(len(live)), t[live]]
         Fn, Jn = _fhat_and_jacobians(surfs, xn)
         fn = np.abs(Fn).max(axis=1)
-        ok = (fn < fmax[live]) | (fn <= NORMALIZED_NEWTON_TOL)
+        ok = fn < fmax[live]
         t[live[~ok]] += 1
         moved = live[ok]
         # seeds sitting on near-tangent curve pairs creep without converging

@@ -259,18 +259,10 @@ def asymptotic_consistency(
 # ---------------------------------------------------------------------------
 
 
-def coefficient_rows(series: SeriesAE) -> List[List[str]]:
-    """Dense matrix of "num/den" strings, row n from 0..trunc_a, column q from 0..trunc_e."""
-    out = []
-    for n in range(series.trunc_a + 1):
-        out.append(
-            [str(series.coeff(n, q)) for q in range(series.trunc_e + 1)]
-        )
-    return out
-
-
 def coefficient_csv(series: SeriesAE) -> str:
-    lines = ["a_exp\\e_exp," + ",".join(str(q) for q in range(series.trunc_e + 1))]
-    for n, row in enumerate(coefficient_rows(series)):
-        lines.append(f"{n}," + ",".join(row))
+    """Dense matrix of "num/den" strings, row n from 0..trunc_a, column q from 0..trunc_e."""
+    columns = range(series.trunc_e + 1)
+    lines = ["a_exp\\e_exp," + ",".join(str(q) for q in columns)]
+    for n in range(series.trunc_a + 1):
+        lines.append(f"{n}," + ",".join(str(series.coeff(n, q)) for q in columns))
     return "\n".join(lines) + "\n"

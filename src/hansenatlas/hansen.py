@@ -526,10 +526,6 @@ def hansen(key: HansenKey, trunc: int, method: str = "wnuk") -> SeriesE:
     return hansen_balmino(ck.n, ck.m, ck.k, trunc)
 
 
-def hansen_nmk(n: int, m: int, k: int, trunc: int, method: str = "wnuk") -> SeriesE:
-    return hansen(HansenKey(n, m, k), trunc, method)
-
-
 def clear_caches() -> None:
     """Empty the route memos, so the next call of each route starts cold."""
     _WNUK_WORKSPACES.clear()

@@ -19,7 +19,6 @@ The Fourier normalization (1/(2 pi^2) for (m,k) != (0,0), 1/(4 pi^2) for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,37 +27,6 @@ KEPLER_TOL = 1e-13
 
 class DomainError(ValueError):
     """Numerical-domain violation (e out of [0,1) or a(1+e) >= 1)."""
-
-
-@dataclass(frozen=True)
-class OrbitPoint:
-    """One Kepler solution: mean/eccentric/true anomalies, radius ratio, eccentricity."""
-
-    ell: float
-    u: float
-    r_over_a: float
-    f: float
-    e: float
-
-    @property
-    def kepler_residual(self) -> float:
-        return abs(self.u - self.e * math.sin(self.u) - self.ell)
-
-
-def solve_kepler(ell: float, e: float) -> OrbitPoint:
-    """Solve u - e sin u = ell at one point: `_kepler` on ell reduced to
-    [0, 2pi)."""
-    if not 0.0 <= e < 1.0:
-        raise DomainError(f"eccentricity must lie in [0,1), got {e}")
-    two_pi = 2.0 * math.pi
-    shift = math.floor(ell / two_pi) * two_pi
-    u = float(_kepler(np.array([ell - shift]), e)[0]) + shift
-    r_over_a = 1.0 - e * math.cos(u)
-    f = math.atan2(
-        math.sqrt(1.0 - e * e) * math.sin(u) / r_over_a,
-        (math.cos(u) - e) / r_over_a,
-    )
-    return OrbitPoint(ell=ell, u=u, r_over_a=r_over_a, f=f, e=e)
 
 
 def _kepler(ell: np.ndarray, e: float) -> np.ndarray:
@@ -117,18 +85,6 @@ def oracle_hansen(n: int, m: int, k: int, e: float, samples: int = 4096) -> floa
     f = true_anomaly(u, e)
     integrand = r_over_a**n * np.cos(m * f - k * ell)
     return float(np.mean(integrand))
-
-
-def oracle_F(a: float, e: float, ell: float, g: float) -> float:
-    """Perturbing function at one phase point; needs a(1+e) < 1."""
-    if not 0.0 <= e < 1.0:
-        raise DomainError(f"eccentricity must lie in [0,1), got {e}")
-    if a * (1.0 + e) >= 1.0:
-        raise DomainError(f"a(1+e) = {a*(1.0+e)} >= 1: outside the singularity-free region")
-    pt = solve_kepler(ell, e)
-    r = a * pt.r_over_a
-    phase = pt.f + g
-    return r * math.cos(phase) - 1.0 / math.sqrt(1.0 + r * r - 2.0 * r * math.cos(phase))
 
 
 def perturbing_grid(a: float, e: float, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

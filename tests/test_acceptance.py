@@ -33,13 +33,14 @@ from hansenatlas.fourier import (
     t_mk,
 )
 from hansenatlas.hansen import (
+    HansenKey,
+    hansen,
     hansen_balmino,
     hansen_k0_closed,
     hansen_newcomb,
-    hansen_nmk,
     hansen_wnuk,
 )
-from hansenatlas.oracle import oracle_fourier, oracle_hansen, solve_kepler
+from hansenatlas.oracle import kepler_grid, oracle_fourier, oracle_hansen
 from hansenatlas.report import atlas_json
 from hansenatlas.series import SeriesE
 
@@ -68,7 +69,7 @@ def test_criterion1_golden_tables():
     for k in sorted(GOLDEN):
         for (n, m), cell in sorted(GOLDEN[k].items()):
             total += 1
-            series = hansen_nmk(n, m, k, TRUNC[k])
+            series = hansen(HansenKey(n, m, k), TRUNC[k])
             expected = {q: Fraction(v) for q, v in cell.items()}
             if dict(series.c) != expected:
                 mismatches.append((k, n, m))
@@ -160,7 +161,7 @@ def test_criterion4_oracle_agreement():
     for n in range(0, 7):
         for m in range(-3, 4):
             for k in range(0, 9):
-                series = hansen_nmk(n, m, k, 38)
+                series = hansen(HansenKey(n, m, k), 38)
                 tail = abs(series.coeff(37) * Fraction(2, 10) ** 37) + abs(
                     series.coeff(38) * Fraction(2, 10) ** 38
                 )
@@ -458,22 +459,22 @@ def test_criterion6_properties(atlas60):
 
     # d'Alembert leading power and the e = 0 Kronecker delta
     for (n, m, k) in [(1, 0, 1), (2, 1, 3), (4, -2, 5), (3, 2, 2), (5, 1, -4)]:
-        series = hansen_nmk(n, m, k, 12)
+        series = hansen(HansenKey(n, m, k), 12)
         if series.lowest_exponent() != abs(k - m):
             problems.append(f"leading power {(n, m, k)}")
         if series.coeff(0) != (1 if k == m else 0):
             problems.append(f"delta {(n, m, k)}")
 
     # Hansen symmetry
-    if hansen_nmk(4, 2, -7, 10) != hansen_nmk(4, -2, 7, 10):
+    if hansen(HansenKey(4, 2, -7), 10) != hansen(HansenKey(4, -2, 7), 10):
         problems.append("symmetry")
 
     # Kepler residual
     rng = np.random.default_rng(3)
-    worst = max(
-        solve_kepler(float(rng.uniform(-9, 9)), float(rng.uniform(0, 0.95))).kepler_residual
-        for _ in range(2000)
-    )
+    worst = 0.0
+    for e in rng.uniform(0, 0.95, 8):
+        ell, u, _ = kepler_grid(float(e), 256)
+        worst = max(worst, float(np.max(np.abs(u - e * np.sin(u) - ell))))
     if worst > 1e-13:
         problems.append(f"kepler residual {worst:.2e}")
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hansenatlas.hansen import hansen_nmk
+from hansenatlas.hansen import HansenKey, hansen
 from hansenatlas.oracle import oracle_hansen
 
 from golden_tables import GOLDEN, TRUNC
@@ -19,7 +19,7 @@ CASES = [(k, n, m) for k in sorted(GOLDEN) for (n, m) in sorted(GOLDEN[k])]
 
 @pytest.mark.parametrize("k,n,m", CASES)
 def test_golden_entry_exact(k, n, m):
-    series = hansen_nmk(n, m, k, TRUNC[k])
+    series = hansen(HansenKey(n, m, k), TRUNC[k])
     expected = {q: Fraction(v) for q, v in GOLDEN[k][(n, m)].items()}
     assert dict(series.c) == expected
 

@@ -16,7 +16,6 @@ from hansenatlas.hansen import (
     hansen_k0_closed,
     hansen_k0_negative,
     hansen_newcomb,
-    hansen_nmk,
     hansen_table,
     hansen_wnuk,
     hansen_wnuk_column,
@@ -486,34 +485,34 @@ def test_balmino_reflects_negative_s():
 
 
 def test_dispatcher_examples():
-    assert hansen_nmk(3, 0, 4, 7) == S({4: Fraction(1, 16), 6: Fraction(-3, 20)}, 7)
-    assert hansen_nmk(0, 1, 10, 11) == S(
+    assert hansen(HansenKey(3, 0, 4), 7) == S({4: Fraction(1, 16), 6: Fraction(-3, 20)}, 7)
+    assert hansen(HansenKey(0, 1, 10), 11) == S(
         {9: Fraction(390625, 72576), 11: Fraction(-5078125, 290304)}, 11
     )
-    assert hansen_nmk(5, -1, -1, 7) == hansen_nmk(5, 1, 1, 7)
+    assert hansen(HansenKey(5, -1, -1), 7) == hansen(HansenKey(5, 1, 1), 7)
 
 
 def test_dispatcher_negative_exponent_route():
-    assert hansen_nmk(-2, 0, 0, 8) == hansen_k0_negative(1, 0, 8)
-    assert hansen_nmk(-1, 3, 0, 9) == hansen_k0_negative(0, 3, 9)
+    assert hansen(HansenKey(-2, 0, 0), 8) == hansen_k0_negative(1, 0, 8)
+    assert hansen(HansenKey(-1, 3, 0), 9) == hansen_k0_negative(0, 3, 9)
 
 
 def test_dispatcher_rejects_bad_combination():
     with pytest.raises(ValueError):
-        hansen_nmk(2, 1, 3, 6, method="k0")
+        hansen(HansenKey(2, 1, 3), 6, method="k0")
     with pytest.raises(ValueError):
-        hansen_nmk(2, 1, 3, 6, method="nope")
+        hansen(HansenKey(2, 1, 3), 6, method="nope")
 
 
 def test_lower_orders_are_truncations():
-    full = hansen_nmk(4, 2, 6, 12)
-    sliced = hansen_nmk(4, 2, 6, 8)
+    full = hansen(HansenKey(4, 2, 6), 12)
+    sliced = hansen(HansenKey(4, 2, 6), 8)
     assert sliced == full.truncate(8)
 
 
 def test_symmetry_exact():
     for (n, m, k) in [(0, 1, 3), (2, -1, 4), (5, 2, -7), (3, -3, -2)]:
-        assert hansen_nmk(n, m, k, 9) == hansen_nmk(n, -m, -k, 9)
+        assert hansen(HansenKey(n, m, k), 9) == hansen(HansenKey(n, -m, -k), 9)
 
 
 # keys whose order-|k-m| coefficient happens to vanish (verified against the
@@ -532,7 +531,7 @@ DALEMBERT_EXCEPTIONS = {
 @pytest.mark.parametrize("m", range(-3, 4))
 @pytest.mark.parametrize("k", range(-6, 7))
 def test_dalembert_leading_power_and_delta(n, m, k):
-    series = hansen_nmk(n, m, k, 12)
+    series = hansen(HansenKey(n, m, k), 12)
     if n == 0 and m == 0 and k != 0:
         assert series.is_zero()
         return
@@ -547,7 +546,7 @@ def test_dalembert_exception_confirmed_by_quadrature():
     # e^6, two orders faster than the generic e^{|k-m|} = e^4 law
     from hansenatlas.oracle import oracle_hansen
 
-    series = hansen_nmk(3, 2, 6, 12)
+    series = hansen(HansenKey(3, 2, 6), 12)
     assert series.lowest_exponent() == 6
     assert series.coeff(6) == Fraction(63, 80)
     for e in (0.05, 0.1):

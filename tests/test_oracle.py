@@ -6,14 +6,15 @@ import pytest
 
 from hansenatlas.atlas import PolyEval
 from hansenatlas.fourier import Mode, fourier_coefficient
-from hansenatlas.hansen import hansen_k0_negative, hansen_nmk
+from hansenatlas.hansen import HansenKey, hansen, hansen_k0_negative
 from hansenatlas.oracle import (
     DomainError,
+    _kepler,
     kepler_grid,
-    oracle_F,
     oracle_fourier,
     oracle_hansen,
-    solve_kepler,
+    perturbing_grid,
+    true_anomaly,
 )
 
 
@@ -21,35 +22,37 @@ from hansenatlas.oracle import (
 
 
 def test_perihelion():
-    pt = solve_kepler(0.0, 0.5)
-    assert pt.u == 0.0 and pt.f == 0.0
-    assert pt.r_over_a == pytest.approx(0.5, abs=1e-15)
+    ell, u, r = kepler_grid(0.5, 64)
+    assert ell[0] == 0.0 and u[0] == 0.0 and true_anomaly(u, 0.5)[0] == 0.0
+    assert r[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_aphelion():
-    pt = solve_kepler(math.pi, 0.7)
-    assert pt.u == pytest.approx(math.pi, abs=1e-14)
-    assert pt.r_over_a == pytest.approx(1.7, abs=1e-14)
-    assert abs(pt.f) == pytest.approx(math.pi, abs=1e-12)
+    # index samples/2 is l = pi exactly for a power-of-two sample count
+    ell, u, r = kepler_grid(0.7, 64)
+    assert ell[32] == math.pi
+    assert u[32] == pytest.approx(math.pi, abs=1e-14)
+    assert r[32] == pytest.approx(1.7, abs=1e-14)
+    assert abs(true_anomaly(u, 0.7)[32]) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_mid_anomaly():
-    pt = solve_kepler(1.0, 0.3)
-    assert pt.kepler_residual <= 1e-13
-    assert pt.u == pytest.approx(1.2880913132, abs=1e-9)
+    u = float(_kepler(np.array([1.0]), 0.3)[0])
+    assert abs(u - 0.3 * math.sin(u) - 1.0) <= 1e-13
+    assert u == pytest.approx(1.2880913132, abs=1e-9)
 
 
 def test_kepler_residual_battery():
+    # 10,240 points: 40 random eccentricities e <= 0.95 on a 256-point grid each
     rng = np.random.default_rng(20240811)
-    for _ in range(10000):
-        ell = float(rng.uniform(-12.0, 12.0))
-        e = float(rng.uniform(0.0, 0.95))
-        assert solve_kepler(ell, e).kepler_residual <= 1e-13
+    for e in rng.uniform(0.0, 0.95, 40):
+        ell, u, _ = kepler_grid(float(e), 256)
+        assert np.max(np.abs(u - e * np.sin(u) - ell)) <= 1e-13, e
 
 
 def test_kepler_rejects_hyperbolic():
     with pytest.raises(DomainError):
-        solve_kepler(0.3, 1.0)
+        kepler_grid(1.0, 8)
 
 
 @pytest.mark.parametrize("e", [0.99, 0.999])
@@ -57,13 +60,6 @@ def test_kepler_grid_converges_at_high_eccentricity(e):
     # Newton from u0 = ell diverges at some of these points; bisection finishes them
     ell, u, _ = kepler_grid(e, 4096)
     assert np.max(np.abs(u - e * np.sin(u) - ell)) <= 1e-13
-
-
-@pytest.mark.parametrize("e", [0.99, 0.999])
-def test_solve_kepler_converges_at_high_eccentricity(e):
-    # Newton stalls at some of these points; `_kepler`'s bisection finishes them
-    for ell in np.arange(1024) * (2.0 * math.pi / 1024):
-        assert solve_kepler(float(ell), e).kepler_residual <= 1e-13
 
 
 def test_kepler_grid_rejects_no_samples():
@@ -91,7 +87,7 @@ def test_oracle_hansen_terminating_series():
 
 def test_oracle_hansen_vs_series():
     value = oracle_hansen(1, 2, 4, 0.1)
-    series = float(hansen_nmk(1, 2, 4, 40).eval_exact(0.1))
+    series = float(hansen(HansenKey(1, 2, 4), 40).eval_exact(0.1))
     assert value == pytest.approx(series, abs=1e-12)
 
 
@@ -109,21 +105,24 @@ def test_negative_exponent_series_vs_quadrature(n, m):
 
 
 def test_oracle_f_hand_value():
-    assert oracle_F(0.1, 0.0, 0.0, 0.0) == pytest.approx(0.1 - 1.0 / 0.9, abs=1e-15)
+    # at e = 0 the grid starts at l = g = 0, where F = a - 1/(1-a)
+    _, _, F = perturbing_grid(0.1, 0.0, 16)
+    assert F[0, 0] == pytest.approx(0.1 - 1.0 / 0.9, abs=1e-15)
 
 
 def test_oracle_f_small_a_limit():
-    assert oracle_F(1e-12, 0.0, 0.7, 1.3) == pytest.approx(-1.0, abs=1e-9)
+    _, _, F = perturbing_grid(1e-12, 0.0, 16)
+    assert np.max(np.abs(F + 1.0)) <= 1e-9
 
 
 def test_oracle_f_determinism():
-    vals = {oracle_F(0.2, 0.1, math.pi / 3, 1.0) for _ in range(5)}
-    assert len(vals) == 1
+    grids = {perturbing_grid(0.2, 0.1, 32)[2].tobytes() for _ in range(5)}
+    assert len(grids) == 1
 
 
 def test_oracle_f_domain_error():
     with pytest.raises(DomainError):
-        oracle_F(0.6, 0.7, 0.0, 0.0)
+        perturbing_grid(0.6, 0.7, 8)
 
 
 # -- Fourier quadrature ----------------------------------------------------------------
