@@ -16,15 +16,17 @@ per strip of open boxes; a sign the bounds leave open is taken from the
 exact value) -> marching squares on arrays, in one pass over the open
 strips side by side (each cell's corner pattern picks its segments from a
 16-row case table; edges are integer ids) with per-edge bisection on sparse
-Horner (`PolyEval.at`), started from the grid's signs -> chained polylines
-(ZeroCurve) -> pairwise-proximity seeds -> damped Newton in float from every
-seed, on fhat with the float Horner of the exact derivative series as
-Jacobian, all seeds in one loop over arrays with one batched
-`PolyEval.at_points` per surface and series per round, each dropped seed
-logged with its reason -> dedupe of the converged points -> one exact
-residual check per distinct point, at the float Newton's point
-(IntersectionReport) -> near-triple triangles with area/incenter/inradius
-(TriangleReport).  A triple zero is certified only when a Gauss-Newton solve
+Horner (`PolyEval.at`), started from the grid's signs and decided on the raw
+coefficient's sign, which is fhat's (one `PolyEval.a_horner` serves each
+edge along e for every round; only the returned values are normalized) ->
+chained polylines (ZeroCurve) -> pairwise-proximity seeds -> damped Newton in
+float from every seed, on fhat with the float Horner of the exact derivative
+series (built on Newton's first call) as Jacobian, all seeds in one loop over
+arrays with one batched `PolyEval.at_points` per surface and series per
+round, each dropped seed logged with its reason -> dedupe of the converged
+points -> one exact residual check per distinct point, at the float Newton's
+point (IntersectionReport) -> near-triple triangles with
+area/incenter/inradius (TriangleReport).  A triple zero is certified only when a Gauss-Newton solve
 of the full 3-system, checked the same way, has exact residuals <=
 RESIDUAL_TOL on all three coefficients.
 
@@ -39,6 +41,7 @@ report ordering are all fixed functions of the input.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -120,21 +123,38 @@ class PolyEval:
         neither adds a zero row or column.  Every multiplication and addition
         left is the dense scheme's, in its order, so each value is the dense
         one bit for bit, except that a zero may carry the other sign.
+
+        It is `e_horner(a_horner(a), e)`: the column values at `a` can be
+        taken once and serve every `e` (`_bisect_edges` does so on the edges
+        of fixed a).
         """
+        return self.e_horner(self.a_horner(a), e)
+
+    def a_horner(self, a: np.ndarray) -> np.ndarray:
+        """The a-Horner of `at`: R[i] holds the column of e-exponent
+        `_cols[i]` at `a`, with shape (len(_cols),) + a.shape."""
         a = np.asarray(a, dtype=float)
-        e = np.asarray(e, dtype=float)
-        v = np.zeros(np.broadcast_shapes(a.shape, e.shape))
         cols = self._cols
+        R = np.empty((len(cols),) + a.shape)
         if not len(cols):
-            return v
+            return R
         Ce = self._Ce.reshape(self._Ce.shape + (1,) * a.ndim)
         top = int(np.flatnonzero(self._nz_rows)[-1])
-        R = np.empty((len(cols),) + a.shape)
         R[...] = Ce[top]
         for n in range(top - 1, -1, -1):
             R *= a
             if self._nz_rows[n]:
                 R += Ce[n]
+        return R
+
+    def e_horner(self, R: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """The e-Horner of `at` on the column values R of `a_horner`, with
+        `e` broadcast against R[0]."""
+        e = np.asarray(e, dtype=float)
+        v = np.zeros(np.broadcast_shapes(R.shape[1:], e.shape))
+        cols = self._cols
+        if not len(cols):
+            return v
         v[...] = R[0]
         for i in range(1, len(cols)):
             for _ in range(cols[i - 1] - cols[i]):
@@ -196,8 +216,6 @@ class ModeSurface:
         self.order = order
         self.series = fourier_coefficient(mode, order[0], order[1])
         self.poly = PolyEval(self.series)
-        self.da = PolyEval(self.series.derivative_a())
-        self.de = PolyEval(self.series.derivative_e())
         t = t_mk(mode)
         self.norm_scale = 2.0 * abs(float(t.t_value))
         self.a_power = t.leading_a_power
@@ -205,6 +223,15 @@ class ModeSurface:
         if self.norm_scale == 0.0:
             log.error("normalization scale vanishes for mode %s", mode)
             self.norm_scale = 1.0
+
+    # the partials, built on Newton's first read: the curves task never reads them
+    @functools.cached_property
+    def da(self) -> PolyEval:
+        return PolyEval(self.series.derivative_a())
+
+    @functools.cached_property
+    def de(self) -> PolyEval:
+        return PolyEval(self.series.derivative_e())
 
     def visible(self) -> bool:
         return not self.series.is_zero()
@@ -288,15 +315,31 @@ def _bisect_edges(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bisect f-hat along straight edges with a sign change, `neg_lo` being
     the grid's sign at the low ends (True: not positive); returns
-    (a, e, value)."""
+    (a, e, value), the value normalized.
+
+    Each round decides on the sign of the raw value `surf.poly.at`, which by
+    the surface contract of `trace_surface` is fhat's (the norm is positive:
+    the decisions are those on the float fhat unless a negative quotient
+    underflows to -0.0); only the returned values are normalized, by one
+    `surf.normalized_at`.  The edges of fixed
+    a after the last one whose a varies (`trace_surface` lays out its a-edges
+    first) take their column values from one `PolyEval.a_horner` and run only
+    the e-Horner in each round: a_lo + mid * 0.0 is a_lo, so every value is
+    `at`'s bit for bit."""
+    poly = surf.poly
+    moving = np.flatnonzero(a_lo != a_hi)
+    k = int(moving[-1]) + 1 if len(moving) else 0  # edges k.. have fixed a
+    R = poly.a_horner(a_lo[k:])
     lo = np.zeros_like(a_lo)
     hi = np.ones_like(a_lo)
+    f = np.empty_like(a_lo)
     for _ in range(BISECT_ITER):
         mid = 0.5 * (lo + hi)
-        am = a_lo + mid * (a_hi - a_lo)
+        am = a_lo[:k] + mid[:k] * (a_hi[:k] - a_lo[:k])
         em = e_lo + mid * (e_hi - e_lo)
-        fm = surf.normalized_at(am, em)
-        go_right = (fm < 0) == neg_lo
+        f[:k] = poly.at(am, em[:k])
+        f[k:] = poly.e_horner(R, em[k:])
+        go_right = (f < 0) == neg_lo
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     mid = 0.5 * (lo + hi)
@@ -338,13 +381,14 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID) -> List[ZeroCurve]:
 
     The node signs S are exact.  First the grid is cut into boxes of BOX x BOX
     cells with corners at the nodes 0, BOX, 2 BOX, ... and n - 1, and
-    `enclose.Enclosure` bounds the coefficient over each box: a box where the
-    bounds fix the sign (closed) gives it to all its nodes and holds no
-    crossing.  Only the nodes of open boxes are evaluated, by the same
-    enclosure's `node_signs`, in one strip per row of boxes: the strip owns the
-    node rows from its box row's bottom up to, not including, the next box
-    row's (the last strip, up to the top), so each node is evaluated at most
-    once, and its columns are the nodes of its open boxes.  Marching squares
+    `enclose.Enclosure` on the corner nodes bounds the coefficient over each
+    box: a box where the bounds fix the sign (closed) gives it to all its
+    nodes and holds no crossing.  Only the nodes of open boxes are evaluated,
+    if there are any, by the `node_signs` of an enclosure on the whole axes,
+    in one strip per row of boxes: the strip owns the node rows from its box
+    row's bottom up to, not including, the next box row's (the last strip, up
+    to the top), so each node is evaluated at most once, and its columns are
+    the nodes of its open boxes.  Marching squares
     and the crossing edges run in one pass over the open strips laid side by
     side, each with the next strip's first row, and come out sorted.
 
@@ -354,12 +398,14 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID) -> List[ZeroCurve]:
     ids sort by direction (a before e), then i, then j; cells and edges come
     out in the order of a pass over the whole grid.  Every edge whose end
     signs differ is bisected to |fhat| <= EPS_CURVE (read at call time),
-    starting from its signs in S; a cell with a crossing left above it is
-    skipped.  The segments are chained into open or closed polylines from the
-    sorted endpoints along sorted neighbours.  `surf` is a ModeSurface or
+    starting from its signs in S, by `_bisect_edges`: each round decides on
+    the sign of the raw value, one a-Horner serves each e-edge for all
+    rounds, and only the returned values are normalized; a cell with a
+    crossing left above it is skipped.  The segments are chained into open or
+    closed polylines from the sorted endpoints along sorted neighbours.  `surf` is a ModeSurface or
     anything with mode/order attributes (named in the log lines only),
     visible(), a broadcasting normalized_at(a, e) whose sign is that of the
-    raw coefficient, and the coefficient's `poly`, a PolyEval.
+    raw coefficient, and the raw coefficient's `poly`, a PolyEval.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
@@ -370,8 +416,11 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID) -> List[ZeroCurve]:
     ax = grid_axis(n)
     corners = box_corners(n)
     nb = len(corners) - 1
-    enclosure = Enclosure(surf.poly.series, ax, ax)
-    box = enclosure.signs(corners, corners)
+    # the boxes from the corner nodes alone; the full axes only when a box is
+    # open, for its nodes.  R and E are elementwise in the nodes, the corner
+    # products keep their shapes and mu reads R at the last node, a corner,
+    # so the box signs are those of the full axes' enclosure bit for bit
+    box = Enclosure(surf.poly.series, ax[corners], ax[corners]).signs()
     # node j lies in the boxes lb[j] and rb[j] of a box row, which differ at
     # a corner; a strip's columns are the nodes in one of its open boxes
     node = np.arange(n)
@@ -381,14 +430,14 @@ def trace_surface(surf, grid_n: int = DEFAULT_GRID) -> List[ZeroCurve]:
     open_nodes = ~(closed[:, lb] & closed[:, rb])
     start = np.append(corners[:-1], n)  # strip b owns the node rows start[b] .. start[b+1] - 1
     strips = np.flatnonzero(open_nodes.any(axis=1))
+    if not len(strips):
+        return []
     cols = [np.flatnonzero(open_nodes[b]) for b in strips]
-    blocks, settled = enclosure.node_signs(
+    blocks, settled = Enclosure(surf.poly.series, ax, ax).node_signs(
         [(slice(start[b], start[b + 1]), c) for b, c in zip(strips, cols)]
     )
     if settled:
         log.info("mode %s order %s: %d grid signs settled exactly", mode, order, settled)
-    if not blocks:
-        return []
 
     # the open strips side by side in BOX + 1 rows: a strip's own rows, then
     # the first row of the next strip, its closed boxes' signs where it

@@ -99,6 +99,16 @@ def assert_at_is_dense(poly, a, e):
     assert np.array_equal(got, want)  # equal up to the sign of a zero
 
 
+def assert_split_is_dense(poly, a, es):
+    """One a-Horner at `a`, reused for every e of `es` by the e-Horner."""
+    R = poly.a_horner(a)
+    for e in es:
+        want = dense_horner(poly.C, a, e)
+        got = poly.e_horner(R, e)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_at_equals_dense_horner_on_order20_surfaces():
     ax = grid_axis(64)
     rng = np.random.default_rng(20)
@@ -130,6 +140,7 @@ def test_at_equals_dense_horner_on_edge_cases(coeffs, trunc_a, trunc_e):
     assert_at_is_dense(poly, ax, ax[::-1])
     assert_at_is_dense(poly, np.float64(0.3), ax)
     assert_at_is_dense(poly, ax, 0.6)
+    assert_split_is_dense(poly, ax, [ax[::-1], ax, np.full(len(ax), 0.6), 0.6])
 
 
 @st.composite
@@ -157,6 +168,7 @@ def test_at_equals_dense_horner_property(series, points):
     a, e = np.array(points).T
     assert_at_is_dense(poly, a, e)
     assert_at_is_dense(poly, a[:, None], e[None, :])
+    assert_split_is_dense(poly, a, [e, e[::-1], a])
 
 
 # -- parity-row Horner at paired points against its scalar loop ----------------
@@ -747,6 +759,79 @@ def test_trace_equals_reference_where_crossings_drop(mode, order, eps, dropped, 
     assert counter.total == dropped
 
 
+# -- bisection against its per-round normalized loop ------------------------------
+
+
+def _bisect_reference(surf, a_lo, e_lo, a_hi, e_hi, neg_lo):
+    """`atlas._bisect_edges` as first written: `normalized_at` on every edge
+    in every round."""
+    lo = np.zeros_like(a_lo)
+    hi = np.ones_like(a_lo)
+    for _ in range(atlas.BISECT_ITER):
+        mid = 0.5 * (lo + hi)
+        am = a_lo + mid * (a_hi - a_lo)
+        em = e_lo + mid * (e_hi - e_lo)
+        fm = surf.normalized_at(am, em)
+        go_right = (fm < 0) == neg_lo
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    mid = 0.5 * (lo + hi)
+    am = a_lo + mid * (a_hi - a_lo)
+    em = e_lo + mid * (e_hi - e_lo)
+    return am, em, surf.normalized_at(am, em)
+
+
+def _traced_edges(monkeypatch, surf, grid_n):
+    """The edges of the one `_bisect_edges` call of `trace_surface`: a_lo,
+    e_lo, a_hi, e_hi and neg_lo."""
+    calls = []
+    real = atlas._bisect_edges
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(atlas, "_bisect_edges", recorded)
+    trace_surface(surf, grid_n)
+    monkeypatch.undo()
+    ((_, *edges),) = calls
+    return edges
+
+
+@pytest.mark.parametrize(
+    "make, grid_n",
+    [
+        *(
+            (lambda j=j: ModeSurface(Mode(5, -2).multiple(j), (60, 60)), 512)
+            for j in (1, 2, 3)
+        ),
+        (lambda: ModeSurface(Mode(3, 4), (60, 60)), 512),
+        (lambda: ModeSurface(Mode(2, 5), (20, 20)), 2048),
+        (lambda: PolynomialSurface(CIRCLE), 128),
+    ],
+    ids=[
+        "5,-2-order60", "10,-4-order60", "15,-6-order60", "3,4-order60", "2,5-order20-grid2048", "circle",
+    ],
+)
+def test_bisect_edges_equals_reference(monkeypatch, make, grid_n):
+    # the traced edges, a-edges first; the a-edges alone; the e-edges alone;
+    # and the even-numbered edges before the odd ones, where e-edges come
+    # before a-edges too, so only those after the last a-edge take the
+    # fixed-a path
+    surf = make()
+    traced = _traced_edges(monkeypatch, surf, grid_n)
+    along_e = traced[0] == traced[2]
+    assert 0 < along_e.sum() < len(along_e)
+    assert not along_e[: np.argmax(along_e)].any() and along_e[np.argmax(along_e) :].all()
+    evens_first = np.argsort(np.arange(len(along_e)) % 2, kind="stable")
+    for pick in (slice(None), ~along_e, along_e, evens_first):
+        edges = [x[pick] for x in traced]
+        got = atlas._bisect_edges(surf, *edges)
+        want = _bisect_reference(surf, *edges)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+
 def test_triangle_metrics_degenerate_and_regular():
     area, incenter, inradius = triangle_metrics([(0, 0), (0.5, 0.5), (1, 1)])
     assert area == 0.0 and inradius == 0.0
@@ -821,6 +906,20 @@ def test_triangle_pool_nearest_neighbours_keep_the_first_triangle(monkeypatch):
     assert len(traced) == 1
     assert nearest.triangles[0] == full.triangles[0]
     assert (len(full.triangles), len(nearest.triangles)) == (3, 2)
+
+
+def test_partials_are_built_for_newton_only(monkeypatch):
+    calls = []
+    for name in ("derivative_a", "derivative_e"):
+        real = getattr(SeriesAE, name)
+        monkeypatch.setattr(
+            SeriesAE, name, lambda self, real=real, name=name: calls.append(name) or real(self)
+        )
+    report = scan_modes((20, 20), m_max=4, task="curves", grid_n=128)
+    assert report.total_curves > 0
+    assert calls == []
+    find_triple(Mode(1, 2), (12, 12), 64)
+    assert {"derivative_a", "derivative_e"} <= set(calls)
 
 
 @pytest.mark.parametrize(
